@@ -40,7 +40,7 @@ from .errors import (
     ShapeMismatch,
     UnstableStepSize,
 )
-from .experiments import DEFAULT_HYPERS, RunReport, TrainConfig
+from .experiments import DEFAULT_HYPERS, TrainConfig
 from .graphio import load_dataset, normalize
 from .net import save_checkpoint
 from .reg import POOL_AVERAGE, POOL_SECOND_HOP, RegularizerSpec
@@ -214,18 +214,13 @@ def cmd_train(args) -> int:
         )
 
     _write_resolved(out_dir, merged, config)
-    params, history = experiments.train(config, graph, data)
-    experiments.write_metrics_jsonl(history, os.path.join(out_dir, "metrics.jsonl"))
-    experiments.write_spectrum_csv(history, os.path.join(out_dir, "spectrum.csv"))
-    save_checkpoint(params, os.path.join(out_dir, "checkpoint.npz"))
-    if config.trials > 1:
-        report = experiments.run_trials(config, graph, data)
-    else:
-        report = RunReport(
-            mean_acc=history.best_test_acc, std_acc=0.0,
-            per_trial=[history.best_test_acc], config=config.to_dict(),
-            wall_clock_s=0.0,
-        )
+
+    def write_artifacts(params, history):
+        experiments.write_metrics_jsonl(history, os.path.join(out_dir, "metrics.jsonl"))
+        experiments.write_spectrum_csv(history, os.path.join(out_dir, "spectrum.csv"))
+        save_checkpoint(params, os.path.join(out_dir, "checkpoint.npz"))
+
+    report = experiments.run_trials(config, graph, data, on_first_trial=write_artifacts)
     if tuned is not None:
         report.extras["tuned"] = tuned["best"]
     experiments.write_report_json(report, os.path.join(out_dir, "report.json"))

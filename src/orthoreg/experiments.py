@@ -18,6 +18,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import ConfigError, Divergence, EmptyMask, ShapeMismatch
 from .graphio import Dataset, SparseGraph, add_self_loops, mask_edges, normalize, select_isolated
@@ -35,6 +36,13 @@ from .reg import RegularizerSpec, regularizer_value_grad
 from .tensor import EigenReport, eigen_report, spmm, spmm_t
 
 THREADS_ENV = "ORTHOREG_THREADS"
+
+# Training feeds features at most this dense to the first layer as CSR.
+# Measured with one BLAS thread on a 2708x1433 matrix (Cora's shape) by a
+# 256-wide layer: CSR X@W0 takes 8 ms at 1.3 % density against 50 ms
+# dense, and both products of layer 0 break even with dense at about 8-10 %
+# density; 5 % leaves a margin for column skew.
+SPARSE_INPUT_MAX_DENSITY = 0.05
 
 # per-dataset trade-off defaults (alpha, beta) for the cross-correlation
 # regularizer; overridable per run and by the coarse-grid tuner
@@ -143,15 +151,28 @@ def _build_operators(graph: SparseGraph, spec: RegularizerSpec) -> dict:
     return ops
 
 
+def _training_input(features: np.ndarray):
+    """The feature matrix the training loop feeds to layer 0: a CSR copy
+    when at most SPARSE_INPUT_MAX_DENSITY of its entries are non-zero,
+    otherwise the dense array itself. The count comes first because it
+    allocates nothing: converting a fully dense 19717x500 matrix to find
+    its count took 0.34 s and a transient four times the matrix's size."""
+    if np.count_nonzero(features) <= SPARSE_INPUT_MAX_DENSITY * features.size:
+        return sp.csr_matrix(features)
+    return features
+
+
 def train(config: TrainConfig, graph: SparseGraph, data: Dataset):
     """Full-batch training of the MLP with the configured regularizer
     injected at the embedding layer. Returns (best params, history); the
     returned parameters are from the epoch with the highest validation
-    accuracy."""
+    accuracy. Sparse features are trained on in CSR form (see
+    SPARSE_INPUT_MAX_DENSITY)."""
     dims = config.resolve_dims(data.n_features, data.n_classes)
     params = init_mlp(dims, seed=config.seed)
     state = adam_init(params, lr=config.lr, weight_decay=config.weight_decay)
     operators = _build_operators(graph, config.regularizer)
+    x = _training_input(data.features)
 
     records = []
     best_val, best_test, best_epoch = -1.0, 0.0, 0
@@ -160,7 +181,7 @@ def train(config: TrainConfig, graph: SparseGraph, data: Dataset):
     for epoch in range(1, config.epochs + 1):
         h, logits, cache = forward(
             params,
-            data.features,
+            x,
             dropout_p=config.dropout_p,
             seed=_dropout_seed(config.seed, epoch),
             train_mode=True,
@@ -175,7 +196,9 @@ def train(config: TrainConfig, graph: SparseGraph, data: Dataset):
         grads = backward(params, cache, grad_logits, grad_h)
         adam_step(params, grads, state)
 
-        h_eval, logits_eval, _ = forward(params, data.features, train_mode=False)
+        # the eval cache is not read; held into the next epoch it would
+        # sit under that epoch's train-mode peak
+        h_eval, logits_eval = forward(params, x, train_mode=False)[:2]
         val_acc = _accuracy(logits_eval, data.labels, data.val_idx)
         test_acc = _accuracy(logits_eval, data.labels, data.test_idx)
         eig = None
@@ -220,9 +243,12 @@ def evaluate(params: MlpParams, features, labels, idx) -> float:
 def _max_workers() -> int:
     raw = os.environ.get(THREADS_ENV, "1")
     try:
-        return max(1, int(raw))
+        workers = int(raw)
     except ValueError:
-        return 1
+        workers = 0
+    if workers < 1:
+        raise ConfigError(f"{THREADS_ENV} must be a positive integer, got {raw!r}")
+    return workers
 
 
 def run_trials(
@@ -232,12 +258,16 @@ def run_trials(
     n_trials: int | None = None,
     eval_idx=None,
     graph_per_trial=None,
+    on_first_trial=None,
 ) -> RunReport:
     """Repeat training over ``n_trials`` derived seeds and aggregate test
     accuracy (mean, population std). ``eval_idx`` overrides the evaluation
     index set; ``graph_per_trial`` (trial -> SparseGraph) lets sweeps vary
-    the structure per trial."""
+    the structure per trial; ``on_first_trial(params, history)`` receives
+    trial 0's result, so a caller can keep its artifacts without training
+    it again."""
     n = config.trials if n_trials is None else n_trials
+    workers = _max_workers()
     t0 = time.perf_counter()
 
     def one(trial: int) -> float:
@@ -245,11 +275,12 @@ def run_trials(
                              "regularizer": config.regularizer})
         g = graph if graph_per_trial is None else graph_per_trial(trial)
         params, history = train(cfg, g, data)
+        if trial == 0 and on_first_trial is not None:
+            on_first_trial(params, history)
         if eval_idx is None:
             return history.best_test_acc
         return evaluate(params, data.features, data.labels, eval_idx)
 
-    workers = _max_workers()
     if workers == 1:
         accs = [one(t) for t in range(n)]
     else:
@@ -437,7 +468,8 @@ def gcn_forward(op, weights, biases, x, dropout_p=0.0, seed=0, train_mode=False)
 
 def gcn_backward(op, weights, cache, grad_logits, weight_decay=0.0):
     """Exact gradients for gcn_forward; propagation is undone with the
-    transposed operator."""
+    transposed operator. The gradient with respect to the input features is
+    not formed."""
     grad_ws, grad_bs = [None] * len(weights), [None] * len(weights)
     g = grad_logits
     for i in reversed(range(len(weights))):
@@ -449,9 +481,10 @@ def gcn_backward(op, weights, cache, grad_logits, weight_decay=0.0):
         grad_bs[i] = g.sum(axis=0)
         if weight_decay > 0.0 and i == 0:
             grad_ws[i] = grad_ws[i] + weight_decay * weights[i]
-        g = back @ weights[i].T
-        if layer["mask"] is not None:
-            g = g * layer["mask"]
+        if i > 0:
+            g = back @ weights[i].T
+            if layer["mask"] is not None:
+                g = g * layer["mask"]
     return grad_ws, grad_bs
 
 

@@ -7,6 +7,10 @@ H; ``backward`` accepts an extra gradient to inject at H so regularizers
 defined on embeddings can flow into all parameters through the same chain
 rule. Dropout uses the inverted-scaling convention and is active only in
 train mode, with masks drawn deterministically from an explicit seed.
+
+The input may be a dense array or a scipy sparse matrix; only the first
+layer's products see it, and both formats share the same arithmetic from
+the first activation on.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import EmptyMask, ShapeMismatch
 from .tensor import as_matrix
@@ -71,8 +76,16 @@ def forward(
 ):
     """Run the network; returns (H, logits, cache) where H is the
     penultimate activation (the embedding the classifier consumes, with its
-    dropout already applied in train mode)."""
-    x = as_matrix(x, "x")
+    dropout already applied in train mode). ``x`` is a dense array or a
+    scipy sparse matrix; a sparse one is checked for finiteness on its
+    stored entries only."""
+    if sp.issparse(x):
+        if x.ndim != 2:
+            raise ShapeMismatch(f"x must be 2-D, got ndim={x.ndim}")
+        if not np.all(np.isfinite(x.data)):
+            raise ShapeMismatch("x contains non-finite entries")
+    else:
+        x = as_matrix(x, "x")
     if x.shape[1] != params.dims[0]:
         raise ShapeMismatch(
             f"input has {x.shape[1]} features, network expects {params.dims[0]}"
@@ -139,7 +152,8 @@ def backward(
 ) -> GradientBundle:
     """Exact gradients of (supervised loss + <external_grad_h, H>) w.r.t.
     every parameter; ``external_grad_h`` is injected at the embedding layer
-    and propagated down the encoder."""
+    and propagated down the encoder. The gradient with respect to the input
+    features is not formed."""
     grad_logits = as_matrix(grad_logits, "grad_logits")
     h = cache["h"]
     weight_grads = [None] * params.n_layers
@@ -165,7 +179,8 @@ def backward(
         g = g * (layer["pre"] > 0.0)
         weight_grads[i] = layer["input"].T @ g
         bias_grads[i] = g.sum(axis=0)
-        grad_act = g @ params.layer_weights[i].T
+        if i > 0:
+            grad_act = g @ params.layer_weights[i].T
 
     return GradientBundle(
         weight_grads=weight_grads, bias_grads=bias_grads, grad_h=grad_h

@@ -154,6 +154,40 @@ class TestTrain:
                [l for l in resolved_b.splitlines() if not l.startswith("out")]
 
 
+    def test_bad_thread_env_exits_2_naming_it(self, dataset_dir, tmp_path, capsys,
+                                              monkeypatch):
+        monkeypatch.setenv("ORTHOREG_THREADS", "many")
+        code, _, err = run_cli(capsys, "train", "--dataset", dataset_dir,
+                               "--out", str(tmp_path / "o"), *FAST_TRAIN)
+        assert code == 2
+        assert "ORTHOREG_THREADS" in err
+        assert "'many'" in err
+
+    @pytest.mark.parametrize("trials", [1, 2])
+    def test_trials_flag_runs_that_many_trainings(self, dataset_dir, tmp_path, capsys,
+                                                  monkeypatch, trials):
+        from orthoreg import experiments
+
+        calls = []
+        original = experiments.train
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "train", counting)
+        out = str(tmp_path / "o")
+        code, _, _ = run_cli(capsys, "train", "--dataset", dataset_dir, "--out", out,
+                             "--epochs", "5", "--hidden", "8", "--embedding", "8",
+                             "--patience", "0", "--trials", str(trials))
+        assert code == 0
+        assert len(calls) == trials
+        report = json.loads(open(os.path.join(out, "report.json")).read())
+        assert len(report["trials"]) == trials
+        assert report["wall_clock_s"] > 0.0
+        assert len(open(os.path.join(out, "metrics.jsonl")).read().splitlines()) == 5
+
+
 class TestSimulate:
     def test_closed_form_verdict_is_monotone(self, tmp_path, capsys):
         out = str(tmp_path / "sim")

@@ -1,11 +1,15 @@
 import json
 import os
 
+import dataclasses
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from conftest import finite_difference, rel_err
-from orthoreg.errors import EmptyMask, ShapeMismatch
+from orthoreg import experiments
+from orthoreg.errors import ConfigError, EmptyMask, ShapeMismatch
 from orthoreg.experiments import (
     TrainConfig,
     ablation_suite,
@@ -113,6 +117,65 @@ class TestTrainLoop:
         assert acc_ortho >= acc_mlp + 0.03
 
 
+def sparse_problem(synthetic_problem, density=0.02, n_features=600, seed=0):
+    """The synthetic problem with binary bag-of-words features: each class
+    favours its own slice of the vocabulary, at the given density."""
+    graph, data = synthetic_problem
+    rng = np.random.default_rng(seed)
+    n, c = data.n_nodes, data.n_classes
+    favoured = np.zeros((n, n_features), dtype=bool)
+    width = n_features // c
+    for k in range(c):
+        favoured[data.labels == k, k * width:(k + 1) * width] = True
+    p = np.where(favoured, 3.0, 1.0)
+    p *= density / p.mean()
+    features = (rng.random((n, n_features)) < p).astype(np.float64)
+    return graph, dataclasses.replace(data, features=features)
+
+
+def force_dense(monkeypatch):
+    monkeypatch.setattr(experiments, "SPARSE_INPUT_MAX_DENSITY", -1.0)
+
+
+class TestSparseTraining:
+    @pytest.mark.parametrize("kind,reg_kwargs", [
+        ("none", {}), ("orthoreg", dict(alpha=0.05, beta=5e-5)),
+    ])
+    def test_sparse_features_match_dense_run(self, synthetic_problem, monkeypatch,
+                                             kind, reg_kwargs):
+        graph, data = sparse_problem(synthetic_problem)
+        assert sp.issparse(experiments._training_input(data.features))
+        cfg = TrainConfig(regularizer=RegularizerSpec(kind=kind, **reg_kwargs),
+                          seed=0, epochs=30, hidden=16, embedding=16,
+                          early_stop_patience=0, eigens_every=10)
+        _, sparse_run = train(cfg, graph, data)
+        force_dense(monkeypatch)
+        _, dense_run = train(cfg, graph, data)
+        assert len(sparse_run.records) == len(dense_run.records) == 30
+        for a, b in zip(sparse_run.records, dense_run.records):
+            for name in ("train_loss", "sup_loss", "reg_loss"):
+                assert getattr(a, name) == pytest.approx(getattr(b, name), rel=1e-10,
+                                                         abs=1e-300)
+            assert (a.val_acc, a.test_acc) == (b.val_acc, b.test_acc)
+        assert sparse_run.best_epoch == dense_run.best_epoch
+
+    def test_dense_features_keep_dense_path(self, synthetic_problem, monkeypatch):
+        graph, data = synthetic_problem
+        assert experiments._training_input(data.features) is data.features
+        cfg = small_config("orthoreg", alpha=0.05, beta=5e-5)
+        _, default_run = train(cfg, graph, data)
+        force_dense(monkeypatch)
+        _, dense_run = train(cfg, graph, data)
+        assert default_run.records == dense_run.records
+
+    def test_threshold_is_inclusive(self):
+        x = np.zeros((10, 10))
+        x[0, :5] = 1.0  # exactly 5 % dense
+        assert sp.issparse(experiments._training_input(x))
+        x[1, 0] = 1.0
+        assert experiments._training_input(x) is x
+
+
 class TestEvaluate:
     def test_perfect_predictor(self):
         labels = np.array([0, 1, 2, 1])
@@ -161,6 +224,22 @@ class TestRunTrials:
         monkeypatch.setenv("ORTHOREG_THREADS", "3")
         threaded = run_trials(cfg, graph, data, n_trials=3)
         assert serial.per_trial == threaded.per_trial
+
+
+    def test_bad_thread_count_rejected(self, synthetic_problem, monkeypatch):
+        graph, data = synthetic_problem
+        for raw in ("two", "0", "-3", "1.5"):
+            monkeypatch.setenv("ORTHOREG_THREADS", raw)
+            with pytest.raises(ConfigError, match="ORTHOREG_THREADS"):
+                run_trials(small_config("none"), graph, data, n_trials=1)
+
+    def test_first_trial_result_handed_back(self, synthetic_problem):
+        graph, data = synthetic_problem
+        seen = []
+        report = run_trials(small_config("none"), graph, data, n_trials=2,
+                            on_first_trial=lambda p, h: seen.append(h))
+        assert len(seen) == 1
+        assert report.per_trial[0] == seen[0].best_test_acc
 
 
 class TestColdstart:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from conftest import finite_difference, rel_err
 from orthoreg.errors import EmptyMask, ShapeMismatch
@@ -203,6 +204,82 @@ class TestBackward:
         _, logits, cache = forward(params, x)
         with pytest.raises(ShapeMismatch):
             backward(params, cache, np.zeros_like(logits), np.zeros((5, 7)))
+
+
+def sparse_features(rng, n, f, density):
+    """Binary bag-of-words style features: dense array and its CSR copy."""
+    x = (rng.random((n, f)) < density).astype(np.float64)
+    return x, sp.csr_matrix(x)
+
+
+class TestSparseInput:
+    def test_forward_and_backward_match_dense_input(self, rng):
+        params = init_mlp([40, 12, 8, 3], seed=5)
+        x, x_csr = sparse_features(rng, 30, 40, 0.1)
+        labels = rng.integers(0, 3, size=30)
+        grad_h = rng.standard_normal((30, 8))
+        out = []
+        for inp in (x, x_csr):
+            h, logits, cache = forward(params, inp, dropout_p=0.3, seed=11,
+                                       train_mode=True)
+            _, grad_logits = cross_entropy(logits, labels, np.arange(10))
+            out.append((h, logits, backward(params, cache, grad_logits, grad_h)))
+        (h_d, logits_d, g_d), (h_s, logits_s, g_s) = out
+        assert isinstance(h_s, np.ndarray) and isinstance(logits_s, np.ndarray)
+        assert rel_err(h_s, h_d) < 1e-12
+        assert rel_err(logits_s, logits_d) < 1e-12
+        for a, b in zip(g_s.weight_grads + g_s.bias_grads + [g_s.grad_h],
+                        g_d.weight_grads + g_d.bias_grads + [g_d.grad_h]):
+            assert isinstance(a, np.ndarray)
+            assert a.shape == b.shape
+            assert rel_err(a, b) < 1e-12
+
+    def test_first_layer_gradient_vs_finite_differences(self, rng):
+        from orthoreg.graphio import normalize
+        from orthoreg.reg import laplacian_reg
+        from orthoreg.synth import ring_graph
+
+        lap = normalize(ring_graph(9), "laplacian")
+        params = init_mlp([20, 6, 5, 3], seed=4)
+        _, x_csr = sparse_features(rng, 9, 20, 0.2)
+        labels = rng.integers(0, 3, size=9)
+        idx = np.array([0, 3, 5, 8])
+
+        def objective() -> float:
+            h, logits, _ = forward(params, x_csr)
+            sup, _ = cross_entropy(logits, labels, idx)
+            reg, _ = laplacian_reg(h, lap, 0.05)
+            return sup + reg
+
+        h, logits, cache = forward(params, x_csr)
+        _, grad_logits = cross_entropy(logits, labels, idx)
+        _, grad_h = laplacian_reg(h, lap, 0.05)
+        grads = backward(params, cache, grad_logits, grad_h)
+
+        for analytic, arr in ((grads.weight_grads[0], params.layer_weights[0]),
+                              (grads.bias_grads[0], params.layer_biases[0])):
+
+            def f(v, arr=arr):
+                saved = arr.copy()
+                arr[:] = v
+                val = objective()
+                arr[:] = saved
+                return val
+
+            assert rel_err(analytic, finite_difference(f, arr.copy())) < 1e-5
+
+    def test_non_finite_stored_entry_rejected(self, rng):
+        params = init_mlp([10, 4, 2], seed=0)
+        _, x_csr = sparse_features(rng, 6, 10, 0.3)
+        x_csr.data[0] = np.nan
+        with pytest.raises(ShapeMismatch, match="non-finite"):
+            forward(params, x_csr)
+
+    def test_input_width_checked(self, rng):
+        params = init_mlp([10, 4, 2], seed=0)
+        _, x_csr = sparse_features(rng, 6, 9, 0.3)
+        with pytest.raises(ShapeMismatch):
+            forward(params, x_csr)
 
 
 class TestAdam:
