@@ -22,7 +22,7 @@ import csv
 import json
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -124,10 +124,9 @@ def _write_resolved(out_dir, merged: dict, config: TrainConfig | None = None) ->
     os.makedirs(out_dir, exist_ok=True)
     lines = {}
     if config is not None:
-        flat = config.to_dict()
+        flat = asdict(config)
         reg = flat.pop("regularizer")
         flat.pop("dims", None)
-        flat.pop("comparator_lambdas", None)
         lines.update({f"reg.{k}" if k != "kind" else "reg": v for k, v in reg.items()})
         lines.update(flat)
     for k, v in merged.items():
@@ -197,9 +196,7 @@ def cmd_train(args) -> int:
     if config.regularizer.kind == "orthoreg" and "alpha" not in merged:
         hypers = _default_hypers_for(merged["dataset"])
         if hypers is not None:
-            spec = RegularizerSpec(**{**asdict(config.regularizer),
-                                      "alpha": hypers[0], "beta": hypers[1]})
-            config.regularizer = spec
+            config.regularizer = replace(config.regularizer, alpha=hypers[0], beta=hypers[1])
     graph, data = _load(merged["dataset"])
 
     tuned = None
@@ -208,10 +205,7 @@ def cmd_train(args) -> int:
             raise ConfigError("--tune applies to the orthoreg regularizer")
         tuned = experiments.tune_coarse_grid(graph, data, base_config=config)
         best = tuned["best"]
-        config.regularizer = RegularizerSpec(
-            **{**asdict(config.regularizer),
-               "alpha": best["alpha"], "beta": best["beta"]}
-        )
+        config.regularizer = replace(config.regularizer, alpha=best["alpha"], beta=best["beta"])
 
     _write_resolved(out_dir, merged, config)
 
@@ -351,34 +345,28 @@ def cmd_suite(args) -> int:
                                  hops=merged.get("hops", 2))
     header = ["row", "mean", "std", "n_trials"]
 
+    def row(label, report) -> list:
+        return [label, report.mean_acc, report.std_acc, len(report.per_trial)]
+
     if args.name == "table1":
-        rows_out = []
-        for label, report in [
-            ("mlp", experiments.run_trials(cfg(RegularizerSpec(kind="none")), graph, data)),
-            ("lap_reg", experiments.run_trials(cfg(RegularizerSpec(kind="laplacian", lam=lam)), graph, data)),
-            ("orthoreg", experiments.run_trials(cfg(ortho_spec), graph, data)),
-            ("sgc", experiments.sgc_comparator(graph, data, seed=seed, trials=trials)),
-            ("gcn", experiments.gcn_comparator(graph, data, seed=seed, trials=trials)),
-        ]:
-            rows_out.append([label, report.mean_acc, report.std_acc, len(report.per_trial)])
+        rows_out = [
+            row("mlp", experiments.run_trials(cfg(RegularizerSpec(kind="none")), graph, data)),
+            row("lap_reg", experiments.run_trials(cfg(RegularizerSpec(kind="laplacian", lam=lam)), graph, data)),
+            row("orthoreg", experiments.run_trials(cfg(ortho_spec), graph, data)),
+            row("sgc", experiments.sgc_comparator(graph, data, seed=seed, trials=trials)),
+            row("gcn", experiments.gcn_comparator(graph, data, seed=seed, trials=trials)),
+        ]
         _write_suite_outputs(out_dir, "table1", rows_out, header)
     elif args.name == "table3":
         rows = experiments.ablation_suite(graph, data, cfg(ortho_spec))
-        rows_out = [[k, r.mean_acc, r.std_acc, len(r.per_trial)] for k, r in rows.items()]
-        _write_suite_outputs(out_dir, "table3", rows_out, header)
+        _write_suite_outputs(out_dir, "table3", [row(k, r) for k, r in rows.items()], header)
     elif args.name == "coldstart":
-        from .graphio import select_isolated
-
-        isolated, reduced = select_isolated(graph, 3.0)
-        eval_idx = np.setdiff1d(isolated, np.concatenate([data.train_idx, data.val_idx]))
-        rows_out = []
-        for label, report in [
-            ("orthoreg", experiments.coldstart_experiment(cfg(ortho_spec), graph, data)),
-            ("mlp", experiments.coldstart_experiment(cfg(RegularizerSpec(kind="none")), graph, data)),
-            ("gcn", experiments.gcn_comparator(reduced, data, seed=seed, trials=trials,
-                                               eval_idx=eval_idx)),
-        ]:
-            rows_out.append([label, report.mean_acc, report.std_acc, len(report.per_trial)])
+        _, reduced, cold = experiments.coldstart_split(graph, data)
+        rows_out = [
+            row("orthoreg", experiments.run_trials(cfg(ortho_spec), reduced, cold)),
+            row("mlp", experiments.run_trials(cfg(RegularizerSpec(kind="none")), reduced, cold)),
+            row("gcn", experiments.gcn_comparator(reduced, cold, seed=seed, trials=trials)),
+        ]
         _write_suite_outputs(out_dir, "coldstart", rows_out, header)
     elif args.name == "robustness":
         ratios = [float(r) for r in (getattr(args, "ratios", None) or "0,0.2,0.4").split(",")]
@@ -386,10 +374,8 @@ def cmd_suite(args) -> int:
                                              trials=trials)
         rows_out = []
         for entry in sweep:
-            rows_out.append(["orthoreg@%.2f" % entry["ratio"],
-                             entry["model"].mean_acc, entry["model"].std_acc, trials])
-            rows_out.append(["gcn@%.2f" % entry["ratio"],
-                             entry["gcn"].mean_acc, entry["gcn"].std_acc, trials])
+            rows_out += [row("orthoreg@%.2f" % entry["ratio"], entry["model"]),
+                         row("gcn@%.2f" % entry["ratio"], entry["gcn"])]
         _write_suite_outputs(out_dir, "robustness", rows_out, header)
     else:  # bench
         depths = [int(d) for d in (getattr(args, "depths", None) or "2,3,4").split(",")]

@@ -15,7 +15,7 @@ import json
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -33,7 +33,7 @@ from .net import (
     init_mlp,
 )
 from .reg import RegularizerSpec, regularizer_value_grad
-from .tensor import EigenReport, eigen_report, spmm, spmm_t
+from .tensor import EigenReport, as_matrix, eigen_report, spmm
 
 THREADS_ENV = "ORTHOREG_THREADS"
 
@@ -69,25 +69,26 @@ class TrainConfig:
     eigens_every: int = 0
     early_stop_patience: int = 100
     trials: int = 10
-    comparator_lambdas: tuple = (0.1,)
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise ConfigError("epochs must be >= 1")
-        if self.trials < 1:
-            raise ConfigError("trials must be >= 1")
-        if self.eigens_every < 0:
-            raise ConfigError("eigens_every must be >= 0")
+        for name, ok, rule in [
+            ("lr", self.lr > 0.0, "> 0"),
+            ("dropout_p", 0.0 <= self.dropout_p < 1.0, "in [0, 1)"),
+            ("weight_decay", self.weight_decay >= 0.0, ">= 0"),
+            ("epochs", self.epochs >= 1, ">= 1"),
+            ("hidden", self.hidden >= 1, ">= 1"),
+            ("embedding", self.embedding >= 1, ">= 1"),
+            ("eigens_every", self.eigens_every >= 0, ">= 0"),
+            ("early_stop_patience", self.early_stop_patience >= 0, ">= 0"),
+            ("trials", self.trials >= 1, ">= 1"),
+        ]:
+            if not ok:
+                raise ConfigError(f"{name} must be {rule}, got {getattr(self, name)!r}")
 
     def resolve_dims(self, n_features: int, n_classes: int) -> list:
         if self.dims is not None:
             return list(self.dims)
         return [n_features, self.hidden, self.embedding, n_classes]
-
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["comparator_lambdas"] = list(self.comparator_lambdas)
-        return d
 
 
 @dataclass(frozen=True)
@@ -162,24 +163,32 @@ def _training_input(features: np.ndarray):
     return features
 
 
-def train(config: TrainConfig, graph: SparseGraph, data: Dataset):
-    """Full-batch training of the MLP with the configured regularizer
-    injected at the embedding layer. Returns (best params, history); the
-    returned parameters are from the epoch with the highest validation
-    accuracy. Sparse features are trained on in CSR form (see
-    SPARSE_INPUT_MAX_DENSITY)."""
+def train(config: TrainConfig, graph: SparseGraph, data: Dataset, network=None):
+    """Full-batch training with the configured regularizer injected at the
+    embedding layer. Returns (best params, history); the returned parameters
+    are from the epoch with the highest validation accuracy. The network is
+    the MLP, trained on sparse features in CSR form (see
+    SPARSE_INPUT_MAX_DENSITY), unless ``network(graph, config)`` builds
+    another forward/backward pair over the same parameters (see
+    GraphConvolution)."""
     dims = config.resolve_dims(data.n_features, data.n_classes)
     params = init_mlp(dims, seed=config.seed)
-    state = adam_init(params, lr=config.lr, weight_decay=config.weight_decay)
+    if network is None:
+        net_forward, net_backward = forward, backward
+        x, adam_decay = _training_input(data.features), config.weight_decay
+    else:
+        net = network(graph, config)
+        net_forward, net_backward = net.forward, net.backward
+        x, adam_decay = data.features, net.adam_weight_decay
+    state = adam_init(params, lr=config.lr, weight_decay=adam_decay)
     operators = _build_operators(graph, config.regularizer)
-    x = _training_input(data.features)
 
     records = []
     best_val, best_test, best_epoch = -1.0, 0.0, 0
     best_params = params.copy()
     since_improvement = 0
     for epoch in range(1, config.epochs + 1):
-        h, logits, cache = forward(
+        h, logits, cache = net_forward(
             params,
             x,
             dropout_p=config.dropout_p,
@@ -193,12 +202,12 @@ def train(config: TrainConfig, graph: SparseGraph, data: Dataset):
         total = sup_loss + reg_loss
         if not np.isfinite(total):
             raise Divergence(f"loss became non-finite at epoch {epoch}")
-        grads = backward(params, cache, grad_logits, grad_h)
+        grads = net_backward(params, cache, grad_logits, grad_h)
         adam_step(params, grads, state)
 
         # the eval cache is not read; held into the next epoch it would
         # sit under that epoch's train-mode peak
-        h_eval, logits_eval = forward(params, x, train_mode=False)[:2]
+        h_eval, logits_eval = net_forward(params, x, train_mode=False)[:2]
         val_acc = _accuracy(logits_eval, data.labels, data.val_idx)
         test_acc = _accuracy(logits_eval, data.labels, data.test_idx)
         eig = None
@@ -256,14 +265,14 @@ def run_trials(
     graph: SparseGraph,
     data: Dataset,
     n_trials: int | None = None,
-    eval_idx=None,
     graph_per_trial=None,
     on_first_trial=None,
+    network=None,
 ) -> RunReport:
     """Repeat training over ``n_trials`` derived seeds and aggregate test
-    accuracy (mean, population std). ``eval_idx`` overrides the evaluation
-    index set; ``graph_per_trial`` (trial -> SparseGraph) lets sweeps vary
-    the structure per trial; ``on_first_trial(params, history)`` receives
+    accuracy (mean, population std). ``graph_per_trial`` (trial ->
+    SparseGraph) lets sweeps vary the structure per trial; ``network`` is
+    passed on to train(); ``on_first_trial(params, history)`` receives
     trial 0's result, so a caller can keep its artifacts without training
     it again."""
     n = config.trials if n_trials is None else n_trials
@@ -271,15 +280,12 @@ def run_trials(
     t0 = time.perf_counter()
 
     def one(trial: int) -> float:
-        cfg = TrainConfig(**{**config.to_dict(), "seed": config.seed + trial,
-                             "regularizer": config.regularizer})
+        cfg = replace(config, seed=config.seed + trial)
         g = graph if graph_per_trial is None else graph_per_trial(trial)
-        params, history = train(cfg, g, data)
+        params, history = train(cfg, g, data, network=network)
         if trial == 0 and on_first_trial is not None:
             on_first_trial(params, history)
-        if eval_idx is None:
-            return history.best_test_acc
-        return evaluate(params, data.features, data.labels, eval_idx)
+        return history.best_test_acc
 
     if workers == 1:
         accs = [one(t) for t in range(n)]
@@ -291,9 +297,19 @@ def run_trials(
         mean_acc=float(np.mean(accs)),
         std_acc=float(np.std(accs)),
         per_trial=[float(a) for a in accs],
-        config=config.to_dict(),
+        config=asdict(config),
         wall_clock_s=wall,
     )
+
+
+def coldstart_split(graph: SparseGraph, data: Dataset, percentile: float = 3.0):
+    """The cold-start setting: the low-degree tail of ``graph`` is isolated
+    (see select_isolated), and its nodes outside the train and val splits
+    become the test split. Returns (isolated nodes, reduced graph, cold
+    dataset)."""
+    isolated, reduced = select_isolated(graph, percentile)
+    test_idx = np.setdiff1d(isolated, np.concatenate([data.train_idx, data.val_idx]))
+    return isolated, reduced, replace(data, test_idx=test_idx)
 
 
 def coldstart_experiment(
@@ -302,14 +318,13 @@ def coldstart_experiment(
     data: Dataset,
     percentile: float = 3.0,
 ) -> RunReport:
-    """Strip the low-degree tail from the graph, train on the reduced
-    structure with the fixed labeled set, and score on the isolated nodes
-    (feature-only inference; the graph is never consulted at eval time)."""
-    isolated, reduced = select_isolated(graph, percentile)
-    eval_idx = np.setdiff1d(isolated, np.concatenate([data.train_idx, data.val_idx]))
-    report = run_trials(config, reduced, data, eval_idx=eval_idx)
+    """Train on the reduced structure with the fixed labeled set and score
+    on the isolated nodes (see coldstart_split; inference is feature-only,
+    the graph is never consulted at eval time)."""
+    isolated, reduced, cold = coldstart_split(graph, data, percentile)
+    report = run_trials(config, reduced, cold)
     report.extras["n_isolated"] = int(isolated.size)
-    report.extras["n_eval"] = int(eval_idx.size)
+    report.extras["n_eval"] = int(cold.test_idx.size)
     report.extras["arcs_left"] = int(reduced.n_arcs)
     return report
 
@@ -349,10 +364,7 @@ def ablation_suite(graph: SparseGraph, data: Dataset, base_config: TrainConfig) 
         raise ShapeMismatch("ablation suite expects an orthoreg base config")
 
     def variant(**changes) -> TrainConfig:
-        spec = RegularizerSpec(**{**asdict(base_spec), **changes})
-        cfg_dict = base_config.to_dict()
-        cfg_dict["regularizer"] = spec
-        return TrainConfig(**cfg_dict)
+        return replace(base_config, regularizer=replace(base_spec, **changes))
 
     rows = {}
     rows["baseline"] = run_trials(base_config, graph, data)
@@ -383,10 +395,7 @@ def tune_coarse_grid(
             beta = alpha / ratio
             spec = RegularizerSpec(kind="orthoreg", alpha=alpha, beta=beta,
                                    hops=cfg.regularizer.hops or 2)
-            cfg_dict = cfg.to_dict()
-            cfg_dict["regularizer"] = spec
-            trial_cfg = TrainConfig(**cfg_dict)
-            _, history = train(trial_cfg, graph, data)
+            _, history = train(replace(cfg, regularizer=spec), graph, data)
             cell = {"alpha": alpha, "beta": beta, "val_acc": history.best_val_acc,
                     "test_acc": history.best_test_acc}
             table.append(cell)
@@ -424,16 +433,7 @@ def sgc_comparator(
     feats = data.features
     for _ in range(k):
         feats = spmm(op, feats)
-    propagated = Dataset(
-        features=feats,
-        labels=data.labels,
-        n_classes=data.n_classes,
-        train_idx=data.train_idx,
-        val_idx=data.val_idx,
-        test_idx=data.test_idx,
-    )
     config = TrainConfig(
-        regularizer=RegularizerSpec(kind="none"),
         lr=lr,
         dropout_p=0.0,
         weight_decay=weight_decay,
@@ -442,14 +442,19 @@ def sgc_comparator(
         seed=seed,
         trials=trials,
     )
-    report = run_trials(config, graph, propagated)
+    report = run_trials(config, graph, replace(data, features=feats))
     report.extras["k"] = k
     return report
 
 
 def gcn_forward(op, weights, biases, x, dropout_p=0.0, seed=0, train_mode=False):
     """Two-or-more layer graph convolution: each layer propagates the linear
-    transform through the normalized operator; ReLU between layers."""
+    transform through the normalized operator; ReLU between layers. As in
+    net.forward only ``x`` is checked, so a numerical blow-up inside the
+    layers reaches the logits, where train() reports it as Divergence."""
+    x = as_matrix(x, "x")
+    if x.shape[0] != op.n_nodes:
+        raise ShapeMismatch(f"operator acts on {op.n_nodes} nodes but x has {x.shape[0]} rows")
     rng = np.random.default_rng(seed)
     act = x
     cache = []
@@ -460,7 +465,7 @@ def gcn_forward(op, weights, biases, x, dropout_p=0.0, seed=0, train_mode=False)
         if train_mode and dropout_p > 0.0:
             mask = (rng.random(inp.shape) >= dropout_p) / (1.0 - dropout_p)
             inp = inp * mask
-        pre = spmm(op, inp @ w) + b
+        pre = op.matrix @ (inp @ w) + b
         cache.append({"input": inp, "mask": mask, "pre": pre})
         act = np.maximum(pre, 0.0) if i < n_layers - 1 else pre
     return act, cache
@@ -476,7 +481,7 @@ def gcn_backward(op, weights, cache, grad_logits, weight_decay=0.0):
         layer = cache[i]
         if i < len(weights) - 1:
             g = g * (layer["pre"] > 0.0)
-        back = spmm_t(op, g)
+        back = op.matrix.T @ g
         grad_ws[i] = layer["input"].T @ back
         grad_bs[i] = g.sum(axis=0)
         if weight_decay > 0.0 and i == 0:
@@ -488,49 +493,29 @@ def gcn_backward(op, weights, cache, grad_logits, weight_decay=0.0):
     return grad_ws, grad_bs
 
 
-def _gcn_train_once(
-    graph: SparseGraph,
-    data: Dataset,
-    hidden: int,
-    lr: float,
-    dropout_p: float,
-    weight_decay: float,
-    epochs: int,
-    patience: int,
-    seed: int,
-    eval_idx=None,
-):
-    op = _renormalized_operator(graph)
-    dims = [data.n_features, hidden, data.n_classes]
-    params = init_mlp(dims, seed=seed)
-    weights, biases = params.layer_weights, params.layer_biases
-    state = adam_init(params, lr=lr, weight_decay=0.0)
+class GraphConvolution:
+    """gcn_forward/gcn_backward as the network train() drives, over the
+    renormalized operator of the graph it is built on. H is the logits.
+    train() gives it the dense features, which its input dropout multiplies
+    by a dense mask. Its weight decay is an L2 term on layer 0's gradient,
+    so Adam's decoupled decay is off."""
 
-    best_val, best_acc, since = -1.0, 0.0, 0
-    best_weights = None
-    for epoch in range(1, epochs + 1):
-        logits, cache = gcn_forward(
-            op, weights, biases, data.features,
-            dropout_p=dropout_p, seed=_dropout_seed(seed, epoch), train_mode=True,
-        )
-        loss, grad_logits = cross_entropy(logits, data.labels, data.train_idx)
-        if not np.isfinite(loss):
-            raise Divergence(f"graph-convolution loss non-finite at epoch {epoch}")
-        grad_ws, grad_bs = gcn_backward(op, weights, cache, grad_logits, weight_decay)
-        adam_step(params, GradientBundle(grad_ws, grad_bs, grad_logits), state)
+    adam_weight_decay = 0.0
 
-        logits_eval, _ = gcn_forward(op, weights, biases, data.features, train_mode=False)
-        val_acc = _accuracy(logits_eval, data.labels, data.val_idx)
-        idx = data.test_idx if eval_idx is None else eval_idx
-        acc = _accuracy(logits_eval, data.labels, idx)
-        if val_acc > best_val:
-            best_val, best_acc, since = val_acc, acc, 0
-            best_weights = [w.copy() for w in weights] + [b.copy() for b in biases]
-        else:
-            since += 1
-            if 0 < patience <= since:
-                break
-    return best_acc, best_weights
+    def __init__(self, graph: SparseGraph, config: TrainConfig):
+        self.op = _renormalized_operator(graph)
+        self.weight_decay = config.weight_decay
+
+    def forward(self, params: MlpParams, x, **kwargs):
+        logits, cache = gcn_forward(self.op, params.layer_weights, params.layer_biases, x, **kwargs)
+        return logits, logits, cache
+
+    def backward(self, params: MlpParams, cache, grad_logits, grad_h=None):
+        if grad_h is not None:
+            grad_logits = grad_logits + grad_h
+        grad_ws, grad_bs = gcn_backward(self.op, params.layer_weights, cache,
+                                        grad_logits, self.weight_decay)
+        return GradientBundle(grad_ws, grad_bs, grad_logits)
 
 
 def gcn_comparator(
@@ -544,29 +529,15 @@ def gcn_comparator(
     patience: int = 100,
     seed: int = 0,
     trials: int = 10,
-    eval_idx=None,
     graph_per_trial=None,
 ) -> RunReport:
-    """Two-layer graph convolution trained full batch."""
-    t0 = time.perf_counter()
-    accs = []
-    for trial in range(trials):
-        g = graph if graph_per_trial is None else graph_per_trial(trial)
-        acc, _ = _gcn_train_once(
-            g, data, hidden, lr, dropout_p, weight_decay, epochs, patience,
-            seed + trial, eval_idx=eval_idx,
-        )
-        accs.append(acc)
-    return RunReport(
-        mean_acc=float(np.mean(accs)),
-        std_acc=float(np.std(accs)),
-        per_trial=[float(a) for a in accs],
-        config={
-            "model": "gcn", "hidden": hidden, "lr": lr, "dropout_p": dropout_p,
-            "weight_decay": weight_decay, "epochs": epochs, "seed": seed,
-        },
-        wall_clock_s=time.perf_counter() - t0,
-    )
+    """Two-layer graph convolution, trained full batch by run_trials()."""
+    config = TrainConfig(lr=lr, dropout_p=dropout_p, weight_decay=weight_decay,
+                         epochs=epochs, hidden=hidden, early_stop_patience=patience,
+                         dims=[data.n_features, hidden, data.n_classes],
+                         seed=seed, trials=trials)
+    return run_trials(config, graph, data, graph_per_trial=graph_per_trial,
+                      network=GraphConvolution)
 
 
 def inference_benchmark(

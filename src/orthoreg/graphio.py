@@ -211,12 +211,21 @@ class Dataset:
             raise ShapeMismatch("train split contains an unlabeled node")
 
 
+def _parsed(path, parse, *args, **kwargs):
+    """``parse(*args, **kwargs)``, with a ValueError (a malformed value in
+    ``path``) reported as a ParseError naming the file."""
+    try:
+        return parse(*args, **kwargs)
+    except ValueError as exc:
+        raise ParseError(f"{path}: {exc}") from None
+
+
 def _read_index_file(path) -> np.ndarray:
     if not os.path.isfile(path):
         raise MissingFile(f"split file not found: {path}")
     with open(path, "r", encoding="utf-8") as fh:
-        vals = [int(line) for line in fh if line.strip()]
-    return np.array(vals, dtype=np.int64)
+        lines = [line.strip() for line in fh if line.strip()]
+    return np.array(_parsed(path, lambda: [int(v) for v in lines]), dtype=np.int64)
 
 
 def _read_meta(path) -> dict:
@@ -245,8 +254,9 @@ def load_dataset(directory) -> tuple[SparseGraph, Dataset]:
             raise MissingFile(f"missing dataset file: {p(required)}")
 
     meta = _read_meta(p("meta.txt"))
-    features = np.loadtxt(p("features.csv"), delimiter=",", dtype=np.float64, ndmin=2)
-    labels = np.loadtxt(p("labels.csv"), dtype=np.int64, ndmin=1)
+    features = _parsed(p("features.csv"), np.loadtxt, p("features.csv"), delimiter=",",
+                       dtype=np.float64, ndmin=2)
+    labels = _parsed(p("labels.csv"), np.loadtxt, p("labels.csv"), dtype=np.int64, ndmin=1)
     if not np.all(np.isfinite(features)):
         raise ShapeMismatch("features.csv contains non-finite values")
 
@@ -255,14 +265,14 @@ def load_dataset(directory) -> tuple[SparseGraph, Dataset]:
         with open(p("node_ids.txt"), "r", encoding="utf-8") as fh:
             id_map = {line.strip(): i for i, line in enumerate(fh) if line.strip()}
 
-    n_nodes = int(meta.get("n_nodes", features.shape[0]))
+    n_nodes = _parsed(p("meta.txt"), int, meta.get("n_nodes", features.shape[0]))
     graph = load_edge_list(p("edges.txt"), n_nodes=n_nodes, id_map=id_map)
     if features.shape[0] != graph.n_nodes or labels.shape[0] != graph.n_nodes:
         raise ShapeMismatch(
             f"inconsistent node counts: graph={graph.n_nodes} "
             f"features={features.shape[0]} labels={labels.shape[0]}"
         )
-    n_classes = int(meta.get("n_classes", labels.max() + 1))
+    n_classes = _parsed(p("meta.txt"), int, meta.get("n_classes", labels.max() + 1))
     data = Dataset(
         features=features,
         labels=labels,

@@ -148,10 +148,6 @@ class CrossCorrelation:
     column statistics cached for the backward pass."""
 
     c: np.ndarray
-    column_means_h: np.ndarray
-    column_means_s: np.ndarray
-    column_stds_h: np.ndarray
-    column_stds_s: np.ndarray
     _std_h: _Standardized = field(repr=False)
     _std_s: _Standardized = field(repr=False)
 
@@ -170,10 +166,6 @@ def cross_correlation(h, s, eps: float = CORRELATION_EPS, center: bool = True) -
     c = sh.z.T @ ss.z / h.shape[0]
     return CrossCorrelation(
         c=c,
-        column_means_h=sh.mean.ravel().copy(),
-        column_means_s=ss.mean.ravel().copy(),
-        column_stds_h=sh.std.ravel().copy(),
-        column_stds_s=ss.std.ravel().copy(),
         _std_h=sh,
         _std_s=ss,
     )

@@ -29,6 +29,7 @@ from orthoreg.experiments import (
     TrainConfig,
     ablation_suite,
     coldstart_experiment,
+    coldstart_split,
     gcn_comparator,
     inference_benchmark,
     robustness_sweep,
@@ -296,11 +297,8 @@ class TestCriterion8ColdStart:
         mlp = coldstart_experiment(
             cora_train_config(RegularizerSpec(kind="none")), graph, data
         )
-        from orthoreg.graphio import select_isolated
-
-        isolated, reduced = select_isolated(graph, 3.0)
-        eval_idx = np.setdiff1d(isolated, np.concatenate([data.train_idx, data.val_idx]))
-        gcn = gcn_comparator(reduced, data, trials=10, eval_idx=eval_idx)
+        _, reduced, cold = coldstart_split(graph, data, 3.0)
+        gcn = gcn_comparator(reduced, cold, trials=10)
         o, m, g = 100 * ortho.mean_acc, 100 * mlp.mean_acc, 100 * gcn.mean_acc
         ok = (abs(o - 61.93) <= 3.5) and (o >= m + 6.0) and (o >= g + 4.0)
         report(

@@ -116,6 +116,48 @@ class TestTrain:
         assert code == 4
         assert "non-finite" in err
 
+    @pytest.mark.parametrize("flag, value, field", [
+        ("--dropout", "1.0", "dropout_p"),
+        ("--dropout", "1.5", "dropout_p"),
+        ("--lr", "-1", "lr"),
+        ("--hidden", "0", "hidden"),
+        ("--embedding", "0", "embedding"),
+        ("--patience", "-5", "early_stop_patience"),
+        ("--weight-decay", "-1", "weight_decay"),
+    ])
+    def test_bad_config_value_exits_2_naming_field(self, dataset_dir, tmp_path, capsys,
+                                                   flag, value, field):
+        code, stdout, err = run_cli(capsys, "train", "--dataset", dataset_dir,
+                                    "--out", str(tmp_path / "o"), "--epochs", "3",
+                                    "--trials", "1", flag, value)
+        assert code == 2
+        assert field in err
+        assert stdout == ""
+
+    @pytest.mark.parametrize("name, line, content", [
+        ("features.csv", 3, "abc,1,2"),
+        ("labels.csv", 1, "1.5"),
+        ("splits/val.txt", None, "x"),
+        ("meta.txt", None, "n_classes=four"),
+    ])
+    def test_malformed_dataset_file_exits_3_naming_it(self, dataset_dir, tmp_path, capsys,
+                                                      name, line, content):
+        import shutil
+
+        broken = tmp_path / "broken"
+        shutil.copytree(dataset_dir, broken)
+        path = broken / name
+        lines = path.read_text().splitlines()
+        if line is None:
+            lines.append(content)
+        else:
+            lines[line - 1] = content
+        path.write_text("\n".join(lines) + "\n")
+        code, _, err = run_cli(capsys, "train", "--dataset", str(broken),
+                               "--out", str(tmp_path / "o"), *FAST_TRAIN)
+        assert code == 3
+        assert name in err
+
     def test_config_file_unknown_key_exits_2(self, dataset_dir, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("epochs = 10\nwibble = 3\n")

@@ -9,11 +9,12 @@ import scipy.sparse as sp
 
 from conftest import finite_difference, rel_err
 from orthoreg import experiments
-from orthoreg.errors import ConfigError, EmptyMask, ShapeMismatch
+from orthoreg.errors import ConfigError, Divergence, EmptyMask, ShapeMismatch
 from orthoreg.experiments import (
     TrainConfig,
     ablation_suite,
     coldstart_experiment,
+    coldstart_split,
     evaluate,
     gcn_backward,
     gcn_comparator,
@@ -28,7 +29,7 @@ from orthoreg.experiments import (
     write_report_json,
     write_spectrum_csv,
 )
-from orthoreg.graphio import normalize, select_isolated
+from orthoreg.graphio import mask_edges, normalize, select_isolated
 from orthoreg.net import cross_entropy, init_mlp
 from orthoreg.reg import RegularizerSpec
 from orthoreg.synth import sbm_graph
@@ -50,6 +51,16 @@ class TestTrainLoop:
             TrainConfig(epochs=0)
         with pytest.raises(ConfigError):
             TrainConfig(trials=0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("dropout_p", 1.0), ("dropout_p", 1.5), ("dropout_p", -0.1),
+        ("lr", 0.0), ("lr", -1.0), ("lr", float("nan")),
+        ("weight_decay", -1.0), ("hidden", 0), ("embedding", 0),
+        ("early_stop_patience", -5),
+    ])
+    def test_bad_value_rejected_naming_field(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            TrainConfig(**{field: value})
 
     def test_bit_identical_histories_for_same_config(self, synthetic_problem):
         graph, data = synthetic_problem
@@ -255,10 +266,22 @@ class TestColdstart:
 
     def test_eval_nodes_exclude_train_and_val(self, synthetic_problem):
         graph, data = synthetic_problem
-        isolated, _ = select_isolated(graph, 20.0)
-        eval_idx = np.setdiff1d(isolated, np.concatenate([data.train_idx, data.val_idx]))
-        assert not np.intersect1d(eval_idx, data.train_idx).size
-        assert not np.intersect1d(eval_idx, data.val_idx).size
+        isolated, reduced, cold = coldstart_split(graph, data, 20.0)
+        np.testing.assert_array_equal(reduced.row_offsets,
+                                      select_isolated(graph, 20.0)[1].row_offsets)
+        assert np.all(np.isin(cold.test_idx, isolated))
+        assert not np.intersect1d(cold.test_idx, data.train_idx).size
+        assert not np.intersect1d(cold.test_idx, data.val_idx).size
+        np.testing.assert_array_equal(cold.train_idx, data.train_idx)
+        np.testing.assert_array_equal(cold.val_idx, data.val_idx)
+
+    def test_trials_score_the_cold_test_split(self, synthetic_problem):
+        graph, data = synthetic_problem
+        cfg = small_config("orthoreg", alpha=0.05, beta=5e-5)
+        report = coldstart_experiment(cfg, graph, data, percentile=20.0)
+        _, reduced, cold = coldstart_split(graph, data, 20.0)
+        assert report.per_trial == run_trials(cfg, reduced, cold).per_trial
+        assert report.extras["n_eval"] == cold.test_idx.size
 
 
 class TestRobustness:
@@ -358,6 +381,69 @@ class TestComparators:
         graph, data = synthetic_problem
         report = gcn_comparator(graph, data, hidden=16, epochs=80, trials=2)
         assert report.mean_acc > 0.5
+
+    @pytest.mark.parametrize("comparator", [
+        lambda g, d: gcn_comparator(g, d, hidden=8, epochs=5, trials=3),
+        lambda g, d: sgc_comparator(g, d, k=1, epochs=5, trials=3),
+    ], ids=["gcn", "sgc"])
+    def test_every_trial_trains_through_train(self, synthetic_problem, monkeypatch,
+                                              comparator):
+        graph, data = synthetic_problem
+        calls = []
+        original = experiments.train
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "train", counting)
+        report = comparator(graph, data)
+        assert len(calls) == 3
+        assert len(report.per_trial) == 3
+
+    def test_gcn_trials_run_on_their_own_graphs(self, synthetic_problem):
+        graph, data = synthetic_problem
+        edgeless = mask_edges(graph, 1.0, seed=0)
+        seen = []
+
+        def per_trial(trial):
+            seen.append(trial)
+            return edgeless
+
+        report = gcn_comparator(graph, data, hidden=8, epochs=20, trials=2,
+                                graph_per_trial=per_trial)
+        assert sorted(seen) == [0, 1]
+        direct = gcn_comparator(edgeless, data, hidden=8, epochs=20, trials=2)
+        assert report.per_trial == direct.per_trial
+        full = gcn_comparator(graph, data, hidden=8, epochs=20, trials=2)
+        assert report.per_trial != full.per_trial
+
+    def test_diverging_gcn_raises_from_shared_check(self, synthetic_problem):
+        graph, data = synthetic_problem
+        with np.errstate(all="ignore"), \
+                pytest.raises(Divergence, match="activations became non-finite at epoch 2"):
+            gcn_comparator(graph, data, hidden=8, epochs=5, trials=1, lr=1e200)
+
+    def test_gcn_forward_checks_its_input(self, synthetic_problem):
+        graph, data = synthetic_problem
+        op = normalize(graph, "sym")
+        params = init_mlp([data.n_features, 4, data.n_classes], seed=0)
+        bad = data.features.copy()
+        bad[3, 1] = np.nan
+        for x in (bad, data.features[:-1]):
+            with pytest.raises(ShapeMismatch):
+                gcn_forward(op, params.layer_weights, params.layer_biases, x)
+
+    @pytest.mark.parametrize("kwargs, field", [
+        (dict(lr=-1.0), "lr"), (dict(dropout_p=1.0), "dropout_p"),
+        (dict(weight_decay=-1.0), "weight_decay"), (dict(hidden=0), "hidden"),
+        (dict(patience=-1), "early_stop_patience"),
+    ])
+    def test_gcn_arguments_checked_like_train_config(self, synthetic_problem,
+                                                     kwargs, field):
+        graph, data = synthetic_problem
+        with pytest.raises(ConfigError, match=field):
+            gcn_comparator(graph, data, trials=1, **kwargs)
 
 
 class TestTuner:
