@@ -21,7 +21,8 @@ def main():
           f"homophily {homophily_ratio(graph, data.labels):.2f}, "
           f"{data.n_classes} classes, {data.n_features} features\n")
 
-    common = dict(epochs=200, hidden=32, embedding=32, early_stop_patience=60, seed=1)
+    common = dict(epochs=200, hidden=32, embedding=32, early_stop_patience=60, seed=1,
+                  trials=3)
     variants = [
         ("plain MLP", RegularizerSpec(kind="none")),
         ("smoothness penalty", RegularizerSpec(kind="laplacian", lam=1e-4)),
@@ -31,9 +32,7 @@ def main():
     ]
     print(f"{'model':24s} {'test acc':>10s}")
     for name, spec in variants:
-        report: RunReport = run_trials(
-            TrainConfig(regularizer=spec, **common), graph, data, n_trials=3
-        )
+        report: RunReport = run_trials(TrainConfig(regularizer=spec, **common), graph, data)
         print(f"{name:24s} {report.mean_acc:8.3f} +- {report.std_acc:.3f}")
 
 

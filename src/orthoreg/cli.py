@@ -8,9 +8,12 @@ experiment suites: table1, table3, coldstart, robustness, bench), and
 ``bench`` (the inference benchmark alone).
 
 Configuration comes from an optional flat ``key = value`` file plus flags;
-flags override the file. Every run echoes the effective configuration to
-``config.resolved`` in its output directory. Exit codes: 0 success, 2
-configuration error, 3 data error, 4 numerical divergence. ``stderr``
+flags override the file, and a setting given by neither takes its
+TrainConfig / RegularizerSpec default, or for a regularizer strength the
+defaults table in ``experiments``. Every run echoes the effective
+configuration to ``config.resolved`` in its output directory. Exit codes:
+0 success, otherwise the ``exit_code`` of the package error raised (2
+configuration error, 3 data error, 4 numerical divergence). ``stderr``
 carries human-readable messages; ``stdout`` carries at most one final JSON
 line. ``ORTHOREG_THREADS`` caps trial-level parallelism.
 """
@@ -22,42 +25,38 @@ import csv
 import json
 import os
 import sys
-from dataclasses import asdict, replace
+from dataclasses import fields, replace
 
 import numpy as np
 
 from . import collapse, experiments, ingest, synth
-from .errors import (
-    ConfigError,
-    Divergence,
-    EmptyGraph,
-    EmptyMask,
-    MissingFile,
-    NoConvergence,
-    NotSymmetric,
-    OrthoRegError,
-    ParseError,
-    ShapeMismatch,
-    UnstableStepSize,
-)
-from .experiments import DEFAULT_HYPERS, TrainConfig
-from .graphio import load_dataset, normalize
+from .errors import ConfigError, OrthoRegError
+from .experiments import TrainConfig
+from .graphio import load_dataset, normalize, text_lines
 from .net import save_checkpoint
-from .reg import POOL_AVERAGE, POOL_SECOND_HOP, RegularizerSpec
+from .reg import POOL_AVERAGE, POOL_SECOND_HOP, REG_KINDS, RegularizerSpec
 from .tensor import sym_eigvals
 
-EXIT_OK = 0
-EXIT_CONFIG = 2
-EXIT_DATA = 3
-EXIT_NUMERIC = 4
 
-# keys accepted in config files (and their flag equivalents)
+def _parse_bool(text: str) -> bool:
+    value = {"true": True, "yes": True, "1": True,
+             "false": False, "no": False, "0": False}.get(text.lower())
+    if value is None:
+        raise ValueError(text)
+    return value
+
+
+# config keys, named as their flags' dests: every RegularizerSpec field
+# (``kind`` spelled ``reg``), every TrainConfig field but the nested spec and
+# the explicit layer dims, and the run's dataset and output directory. A
+# value parses by the type of its field's default.
+SPEC_KEYS = {"reg" if f.name == "kind" else f.name: f for f in fields(RegularizerSpec)}
+TRAIN_KEYS = {f.name: f for f in fields(TrainConfig) if f.name not in ("regularizer", "dims")}
 CONFIG_KEYS = {
-    "reg": str, "alpha": float, "beta": float, "lam": float, "hops": int,
-    "pooling": str, "center_correlation": lambda v: v.lower() in ("1", "true", "yes"),
-    "lr": float, "dropout_p": float, "weight_decay": float, "epochs": int,
-    "hidden": int, "embedding": int, "seed": int, "eigens_every": int,
-    "early_stop_patience": int, "trials": int, "dataset": str, "out": str,
+    **{key: _parse_bool if isinstance(f.default, bool) else type(f.default)
+       for key, f in {**SPEC_KEYS, **TRAIN_KEYS}.items()},
+    "dataset": str,
+    "out": str,
 }
 
 
@@ -65,23 +64,22 @@ def _parse_config_file(path) -> dict:
     if not os.path.isfile(path):
         raise ConfigError(f"config file not found: {path}")
     values = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            key, sep, value = line.partition("=")
-            key, value = key.strip(), value.strip()
-            if not sep or not key:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-            if key not in CONFIG_KEYS:
-                raise ConfigError(f"{path}:{lineno}: unknown config key '{key}'")
-            try:
-                values[key] = CONFIG_KEYS[key](value)
-            except ValueError:
-                raise ConfigError(
-                    f"{path}:{lineno}: bad value for '{key}': {value!r}"
-                ) from None
+    for lineno, raw in enumerate(text_lines(path, ConfigError), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        key, sep, value = line.partition("=")
+        key, value = key.strip(), value.strip()
+        if not sep or not key:
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
+        if key not in CONFIG_KEYS:
+            raise ConfigError(f"{path}:{lineno}: unknown config key '{key}'")
+        try:
+            values[key] = CONFIG_KEYS[key](value)
+        except ValueError:
+            raise ConfigError(
+                f"{path}:{lineno}: bad value for '{key}': {value!r}"
+            ) from None
     return values
 
 
@@ -94,41 +92,24 @@ def _merge_config(args, file_values: dict) -> dict:
     return merged
 
 
-def _regularizer_from(merged: dict) -> RegularizerSpec:
-    kind = merged.get("reg", "none")
-    return RegularizerSpec(
-        kind=kind,
-        lam=merged.get("lam", 0.0),
-        alpha=merged.get("alpha", 0.0),
-        beta=merged.get("beta", 0.0),
-        hops=merged.get("hops", 2),
-        pooling=merged.get("pooling", POOL_AVERAGE),
-        center_correlation=merged.get("center_correlation", True),
-    )
-
-
 def _train_config_from(merged: dict) -> TrainConfig:
-    spec = _regularizer_from(merged)
-    kwargs = {}
-    for key in ("lr", "dropout_p", "weight_decay", "epochs", "hidden", "embedding",
-                "seed", "eigens_every", "early_stop_patience", "trials"):
-        if key in merged:
-            kwargs[key] = merged[key]
-    try:
-        return TrainConfig(regularizer=spec, **kwargs)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from None
+    """The TrainConfig of the merged settings: a regularizer strength that
+    is not set comes from the defaults table (see
+    experiments.resolve_regularizer), any other setting from its field."""
+    spec = experiments.resolve_regularizer(
+        {f.name: merged[key] for key, f in SPEC_KEYS.items() if key in merged},
+        merged.get("dataset") or "",
+    )
+    return TrainConfig(regularizer=spec, **{k: merged[k] for k in TRAIN_KEYS if k in merged})
 
 
 def _write_resolved(out_dir, merged: dict, config: TrainConfig | None = None) -> None:
     os.makedirs(out_dir, exist_ok=True)
     lines = {}
     if config is not None:
-        flat = asdict(config)
-        reg = flat.pop("regularizer")
-        flat.pop("dims", None)
-        lines.update({f"reg.{k}" if k != "kind" else "reg": v for k, v in reg.items()})
-        lines.update(flat)
+        lines.update({key if key == "reg" else f"reg.{key}": getattr(config.regularizer, f.name)
+                      for key, f in SPEC_KEYS.items()})
+        lines.update({key: getattr(config, key) for key in TRAIN_KEYS})
     for k, v in merged.items():
         if k in ("dataset", "out"):
             lines[k] = v
@@ -136,11 +117,6 @@ def _write_resolved(out_dir, merged: dict, config: TrainConfig | None = None) ->
               newline="\n") as fh:
         for key in sorted(lines):
             fh.write(f"{key} = {lines[key]}\n")
-
-
-def _default_hypers_for(dataset_path: str) -> tuple | None:
-    name = os.path.basename(os.path.normpath(dataset_path)).lower()
-    return DEFAULT_HYPERS.get(name)
 
 
 def _load(dataset_path: str):
@@ -163,6 +139,24 @@ def _write_suite_outputs(out_dir, name, rows: list, header: list) -> None:
         fh.write("\n")
 
 
+def _seed(text: str) -> int:
+    """A ``--seed`` value: numpy's generators take non-negative integers."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
+def _flag_values(text: str, parse, flag: str) -> list:
+    """The comma-separated values of ``flag``, each parsed by ``parse``."""
+    try:
+        return [parse(v) for v in text.split(",")]
+    except ValueError:
+        raise ConfigError(
+            f"{flag} takes comma-separated {parse.__name__} values, got {text!r}"
+        ) from None
+
+
 # ---------------------------------------------------------------------------
 # subcommand implementations
 # ---------------------------------------------------------------------------
@@ -183,21 +177,15 @@ def cmd_ingest(args) -> int:
             splits_dir=args.splits,
         )
     print(json.dumps({"ingested": args.out}))
-    return EXIT_OK
+    return 0
 
 
 def cmd_train(args) -> int:
     file_values = _parse_config_file(args.config) if args.config else {}
     merged = _merge_config(args, file_values)
-    if "dataset" not in merged:
-        raise ConfigError("a --dataset directory is required")
     out_dir = merged.get("out", "runs/train")
     config = _train_config_from(merged)
-    if config.regularizer.kind == "orthoreg" and "alpha" not in merged:
-        hypers = _default_hypers_for(merged["dataset"])
-        if hypers is not None:
-            config.regularizer = replace(config.regularizer, alpha=hypers[0], beta=hypers[1])
-    graph, data = _load(merged["dataset"])
+    graph, data = _load(merged.get("dataset"))
 
     tuned = None
     if getattr(args, "tune", False):
@@ -220,13 +208,11 @@ def cmd_train(args) -> int:
     experiments.write_report_json(report, os.path.join(out_dir, "report.json"))
     print(json.dumps({"mean_test_acc": report.mean_acc, "std": report.std_acc,
                       "out": out_dir}))
-    return EXIT_OK
+    return 0
 
 
 def _make_graph(args):
-    n = args.n if args.n is not None else 40
-    seed = args.seed if args.seed is not None else 0
-    kind = args.graph or "sbm"
+    n, seed, kind = args.n, args.seed, args.graph
     if kind == "sbm":
         graph, _ = synth.sbm_graph(n_nodes=n, seed=seed)
         return graph
@@ -241,8 +227,10 @@ def _make_graph(args):
 
 def cmd_simulate(args) -> int:
     out_dir = args.out or "runs/simulate"
-    seed = args.seed if args.seed is not None else 0
-    steps = args.steps if args.steps is not None else 200
+    seed, steps = args.seed, args.steps
+    for flag, value, least in (("--dim", args.dim, 1), ("--steps", steps, 1), ("--n", args.n, 2)):
+        if value < least:
+            raise ConfigError(f"{flag} must be >= {least}, got {value}")
     rng = np.random.default_rng(seed)
     graph = _make_graph(args)
     os.makedirs(out_dir, exist_ok=True)
@@ -268,8 +256,6 @@ def cmd_simulate(args) -> int:
         verdict = collapse.verify_ratio_monotonicity(run, collapse.largest_gap_split(eigs))
     elif args.kind == "feature-update":
         tau = args.tau if args.tau is not None else 0.5
-        if not 0.0 <= tau <= 1.0:
-            raise ConfigError(f"tau must lie in [0, 1], got {tau}")
         a_sym = normalize(graph, "sym")
         h0 = rng.standard_normal((graph.n_nodes, args.dim))
         run = collapse.feature_space_trajectory(
@@ -316,7 +302,7 @@ def cmd_simulate(args) -> int:
     _write_resolved(out_dir, {"out": out_dir})
     print(json.dumps({"kind": args.kind, "monotone_ratio_ok": verdict.monotone_ratio_ok,
                       "out": out_dir}))
-    return EXIT_OK
+    return 0
 
 
 SUITES = ("table1", "table3", "coldstart", "robustness", "bench")
@@ -327,72 +313,63 @@ def cmd_suite(args) -> int:
         raise ConfigError(
             f"unknown suite '{args.name}'; valid suites: {', '.join(SUITES)}"
         )
+    if args.name == "bench":
+        return cmd_bench(args)
     out_dir = args.out or f"runs/suite-{args.name}"
-    merged = _merge_config(args, {})
+    merged = {**_merge_config(args, {}), "out": out_dir}
+
+    def cfg(kind) -> TrainConfig:
+        return _train_config_from({**merged, "reg": kind})
+
+    ortho = cfg("orthoreg")
     graph, data = _load(args.dataset)
-    seed = args.seed if args.seed is not None else 0
-    trials = args.trials if args.trials is not None else 10
-    hypers = _default_hypers_for(args.dataset) or (1e-3, 1e-6)
-    alpha = merged.get("alpha", hypers[0])
-    beta = merged.get("beta", hypers[1])
-    lam = merged.get("lam", 0.1)
-
-    def cfg(spec) -> TrainConfig:
-        return TrainConfig(regularizer=spec, seed=seed, trials=trials,
-                           epochs=merged.get("epochs", 300))
-
-    ortho_spec = RegularizerSpec(kind="orthoreg", alpha=alpha, beta=beta,
-                                 hops=merged.get("hops", 2))
-    header = ["row", "mean", "std", "n_trials"]
 
     def row(label, report) -> list:
         return [label, report.mean_acc, report.std_acc, len(report.per_trial)]
 
     if args.name == "table1":
-        rows_out = [
-            row("mlp", experiments.run_trials(cfg(RegularizerSpec(kind="none")), graph, data)),
-            row("lap_reg", experiments.run_trials(cfg(RegularizerSpec(kind="laplacian", lam=lam)), graph, data)),
-            row("orthoreg", experiments.run_trials(cfg(ortho_spec), graph, data)),
-            row("sgc", experiments.sgc_comparator(graph, data, seed=seed, trials=trials)),
-            row("gcn", experiments.gcn_comparator(graph, data, seed=seed, trials=trials)),
+        rows = [
+            row("mlp", experiments.run_trials(cfg("none"), graph, data)),
+            row("lap_reg", experiments.run_trials(cfg("laplacian"), graph, data)),
+            row("orthoreg", experiments.run_trials(ortho, graph, data)),
+            row("sgc", experiments.sgc_comparator(graph, data, seed=ortho.seed,
+                                                  trials=ortho.trials)),
+            row("gcn", experiments.gcn_comparator(graph, data, seed=ortho.seed,
+                                                  trials=ortho.trials)),
         ]
-        _write_suite_outputs(out_dir, "table1", rows_out, header)
     elif args.name == "table3":
-        rows = experiments.ablation_suite(graph, data, cfg(ortho_spec))
-        _write_suite_outputs(out_dir, "table3", [row(k, r) for k, r in rows.items()], header)
+        rows = [row(k, r) for k, r in experiments.ablation_suite(graph, data, ortho).items()]
     elif args.name == "coldstart":
         _, reduced, cold = experiments.coldstart_split(graph, data)
-        rows_out = [
-            row("orthoreg", experiments.run_trials(cfg(ortho_spec), reduced, cold)),
-            row("mlp", experiments.run_trials(cfg(RegularizerSpec(kind="none")), reduced, cold)),
-            row("gcn", experiments.gcn_comparator(reduced, cold, seed=seed, trials=trials)),
+        rows = [
+            row("orthoreg", experiments.run_trials(ortho, reduced, cold)),
+            row("mlp", experiments.run_trials(cfg("none"), reduced, cold)),
+            row("gcn", experiments.gcn_comparator(reduced, cold, seed=ortho.seed,
+                                                  trials=ortho.trials)),
         ]
-        _write_suite_outputs(out_dir, "coldstart", rows_out, header)
-    elif args.name == "robustness":
-        ratios = [float(r) for r in (getattr(args, "ratios", None) or "0,0.2,0.4").split(",")]
-        sweep = experiments.robustness_sweep(cfg(ortho_spec), graph, data, ratios,
-                                             trials=trials)
-        rows_out = []
-        for entry in sweep:
-            rows_out += [row("orthoreg@%.2f" % entry["ratio"], entry["model"]),
-                         row("gcn@%.2f" % entry["ratio"], entry["gcn"])]
-        _write_suite_outputs(out_dir, "robustness", rows_out, header)
-    else:  # bench
-        depths = [int(d) for d in (getattr(args, "depths", None) or "2,3,4").split(",")]
-        rows = experiments.inference_benchmark(graph, data, depths=depths, seed=seed)
-        rows_out = [[f"depth={r['depth']}", r["mlp_s"], r["gcn_s"], r["gcn_over_mlp"]]
-                    for r in rows]
-        _write_suite_outputs(out_dir, "bench", rows_out,
-                             ["row", "mlp_s", "gcn_s", "gcn_over_mlp"])
-
-    _write_resolved(out_dir, {"dataset": args.dataset, "out": out_dir})
+    else:  # robustness
+        ratios = _flag_values(args.ratios, float, "--ratios")
+        rows = []
+        for entry in experiments.robustness_sweep(ortho, graph, data, ratios):
+            rows += [row("orthoreg@%.2f" % entry["ratio"], entry["model"]),
+                     row("gcn@%.2f" % entry["ratio"], entry["gcn"])]
+    _write_suite_outputs(out_dir, args.name, rows, ["row", "mean", "std", "n_trials"])
+    _write_resolved(out_dir, merged, ortho)
     print(json.dumps({"suite": args.name, "out": out_dir}))
-    return EXIT_OK
+    return 0
 
 
 def cmd_bench(args) -> int:
-    args.name = "bench"
-    return cmd_suite(args)
+    out_dir = args.out or "runs/suite-bench"
+    graph, data = _load(args.dataset)
+    depths = _flag_values(args.depths, int, "--depths")
+    seed = args.seed if args.seed is not None else TrainConfig.seed
+    rows = [[f"depth={r['depth']}", r["mlp_s"], r["gcn_s"], r["gcn_over_mlp"]]
+            for r in experiments.inference_benchmark(graph, data, depths=depths, seed=seed)]
+    _write_suite_outputs(out_dir, "bench", rows, ["row", "mlp_s", "gcn_s", "gcn_over_mlp"])
+    _write_resolved(out_dir, {"dataset": args.dataset, "out": out_dir})
+    print(json.dumps({"suite": "bench", "out": out_dir}))
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ingest.add_argument("--content")
     p_ingest.add_argument("--cites")
     p_ingest.add_argument("--splits")
-    p_ingest.add_argument("--seed", type=int)
+    p_ingest.add_argument("--seed", type=_seed)
     p_ingest.add_argument("--out", required=True)
     p_ingest.set_defaults(func=cmd_ingest)
 
@@ -419,8 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--dataset")
     p_train.add_argument("--config", help="flat key = value config file")
     p_train.add_argument("--out")
-    p_train.add_argument("--reg", choices=["none", "laplacian", "preg",
-                                           "corr_identity", "orthoreg"])
+    p_train.add_argument("--reg", choices=REG_KINDS)
     p_train.add_argument("--alpha", type=float)
     p_train.add_argument("--beta", type=float)
     p_train.add_argument("--lam", type=float)
@@ -432,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--epochs", type=int)
     p_train.add_argument("--hidden", type=int)
     p_train.add_argument("--embedding", type=int)
-    p_train.add_argument("--seed", type=int)
+    p_train.add_argument("--seed", type=_seed)
     p_train.add_argument("--trials", type=int)
     p_train.add_argument("--eigens-every", dest="eigens_every", type=int)
     p_train.add_argument("--patience", dest="early_stop_patience", type=int)
@@ -444,16 +420,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--kind", choices=["closed-form", "gd-linear",
                                           "feature-update", "free-embedding"],
                        required=True)
-    p_sim.add_argument("--graph", choices=["sbm", "ring", "path", "star"])
-    p_sim.add_argument("--n", type=int)
+    p_sim.add_argument("--graph", choices=["sbm", "ring", "path", "star"], default="sbm")
+    p_sim.add_argument("--n", type=int, default=40)
     p_sim.add_argument("--dim", type=int, default=8)
-    p_sim.add_argument("--steps", type=int)
+    p_sim.add_argument("--steps", type=int, default=200)
     p_sim.add_argument("--tau", type=float)
     p_sim.add_argument("--sign", type=int, choices=[1, -1], default=1)
     p_sim.add_argument("--alpha", type=float)
     p_sim.add_argument("--beta", type=float)
     p_sim.add_argument("--lr", type=float)
-    p_sim.add_argument("--seed", type=int)
+    p_sim.add_argument("--seed", type=_seed, default=0)
     p_sim.add_argument("--out")
     p_sim.set_defaults(func=cmd_simulate)
 
@@ -466,17 +442,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_suite.add_argument("--lam", type=float)
     p_suite.add_argument("--T", dest="hops", type=int)
     p_suite.add_argument("--epochs", type=int)
-    p_suite.add_argument("--seed", type=int)
+    p_suite.add_argument("--seed", type=_seed)
     p_suite.add_argument("--trials", type=int)
-    p_suite.add_argument("--ratios", help="comma-separated mask ratios")
-    p_suite.add_argument("--depths", help="comma-separated depths for bench")
+    p_suite.add_argument("--ratios", default="0,0.2,0.4", help="comma-separated mask ratios")
+    p_suite.add_argument("--depths", default="2,3,4", help="comma-separated depths for bench")
     p_suite.set_defaults(func=cmd_suite)
 
     p_bench = sub.add_parser("bench", help="inference benchmark")
     p_bench.add_argument("--dataset")
     p_bench.add_argument("--out")
-    p_bench.add_argument("--depths")
-    p_bench.add_argument("--seed", type=int)
+    p_bench.add_argument("--depths", default="2,3,4")
+    p_bench.add_argument("--seed", type=_seed)
     p_bench.add_argument("--trials", type=int)
     p_bench.set_defaults(func=cmd_bench)
 
@@ -484,22 +460,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (MissingFile, ParseError, ShapeMismatch, EmptyGraph, EmptyMask) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except (Divergence, NoConvergence, NotSymmetric, UnstableStepSize) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
     except OrthoRegError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+        return exc.exit_code
 
 
 if __name__ == "__main__":

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import Divergence, InputNotWhitened, ShapeMismatch, UnstableStepSize
+from .errors import ConfigError, Divergence, InputNotWhitened, ShapeMismatch, UnstableStepSize
 from .graphio import NormalizedOperator, SparseGraph, SYM_KIND, normalize
 from .reg import RegularizerSpec, cross_correlation, neighborhood_summary, orthoreg_loss
 from .tensor import (
@@ -102,9 +102,9 @@ def closed_form_trajectory(p, w0, times, sign: int = +1) -> DynamicsRun:
     w0 = as_matrix(w0, "w0")
     times = np.asarray(times, dtype=np.float64).ravel()
     if times.size == 0 or times[0] != 0.0 or np.any(np.diff(times) <= 0.0):
-        raise ValueError("times must be increasing and start at 0")
+        raise ConfigError("times must be increasing and start at 0")
     if sign not in (+1, -1):
-        raise ValueError("sign must be +1 or -1")
+        raise ConfigError(f"sign must be +1 or -1, got {sign}")
     if p.shape[0] != w0.shape[0]:
         raise ShapeMismatch(f"P is {p.shape} but W0 has {w0.shape[0]} rows")
     vals, vecs = sym_eig(p)
@@ -154,7 +154,7 @@ def feature_space_trajectory(
     if a_sym.kind != SYM_KIND:
         raise ShapeMismatch(f"feature-space update needs a sym operator, got {a_sym.kind}")
     if not 0.0 <= tau <= 1.0:
-        raise ValueError("tau must lie in [0, 1]")
+        raise ConfigError(f"tau must lie in [0, 1], got {tau}")
     h = as_matrix(h0, "h0").copy()
 
     def snap(step):

@@ -1,16 +1,21 @@
 """Exception types shared across the package.
 
-The CLI maps these onto stable exit codes: configuration problems exit 2,
-data problems exit 3, numerical divergence exits 4.
+Each type carries the CLI exit code it maps to as ``exit_code``:
+configuration problems exit 2, data problems (the default) exit 3, and
+numerical divergence exits 4.
 """
 
 
 class OrthoRegError(Exception):
     """Base class for all package errors."""
 
+    exit_code = 3
 
-class ConfigError(OrthoRegError):
+
+class ConfigError(OrthoRegError, ValueError):
     """Invalid configuration key, value, or combination."""
+
+    exit_code = 2
 
 
 class ParseError(OrthoRegError):
@@ -36,13 +41,19 @@ class EmptyMask(OrthoRegError):
 class NotSymmetric(OrthoRegError):
     """Matrix fails the symmetry precondition."""
 
+    exit_code = 4
+
 
 class NoConvergence(OrthoRegError):
     """Iterative solver hit its iteration cap."""
 
+    exit_code = 4
+
 
 class UnstableStepSize(OrthoRegError):
     """Explicit iteration step size violates its stability bound."""
+
+    exit_code = 4
 
 
 class InputNotWhitened(OrthoRegError):
@@ -51,3 +62,5 @@ class InputNotWhitened(OrthoRegError):
 
 class Divergence(OrthoRegError):
     """Loss or iterate became non-finite."""
+
+    exit_code = 4

@@ -32,7 +32,7 @@ from .net import (
     forward,
     init_mlp,
 )
-from .reg import RegularizerSpec, regularizer_value_grad
+from .reg import REG_STRENGTHS, RegularizerSpec, regularizer_value_grad
 from .tensor import EigenReport, as_matrix, eigen_report, spmm
 
 THREADS_ENV = "ORTHOREG_THREADS"
@@ -51,6 +51,33 @@ DEFAULT_HYPERS = {
     "citeseer": (1e-3, 1e-6),
     "pubmed": (2e-6, 2e-6),
 }
+
+# Defaults for the strengths a regularizer kind reads (reg.REG_STRENGTHS)
+# that a run does not give, shared by `orthoreg train` and `orthoreg suite`
+# through resolve_regularizer: orthoreg's pair for a dataset outside
+# DEFAULT_HYPERS, and the laplacian's lam. A strength without an entry (lam
+# for preg and corr_identity) must be given. Every other setting defaults
+# to its TrainConfig / RegularizerSpec field.
+DEFAULT_STRENGTHS = {
+    "laplacian": {"lam": 0.1},
+    "orthoreg": {"alpha": 1e-3, "beta": 1e-6},
+}
+
+
+def resolve_regularizer(given: dict, dataset) -> RegularizerSpec:
+    """RegularizerSpec(**given), with each strength its kind reads that
+    ``given`` lacks taken from DEFAULT_HYPERS (orthoreg on a dataset
+    directory named after one of its datasets) or DEFAULT_STRENGTHS."""
+    spec = RegularizerSpec(**given)
+    defaults = dict(DEFAULT_STRENGTHS.get(spec.kind, {}))
+    name = os.path.basename(os.path.normpath(dataset)).lower()
+    if spec.kind == "orthoreg" and name in DEFAULT_HYPERS:
+        defaults["alpha"], defaults["beta"] = DEFAULT_HYPERS[name]
+    unset = [s for s in REG_STRENGTHS[spec.kind] if s not in given]
+    for strength in unset:
+        if strength not in defaults:
+            raise ConfigError(f"regularizer {spec.kind!r} needs {strength}: it has no default")
+    return replace(spec, **{s: defaults[s] for s in unset})
 
 
 @dataclass
@@ -78,6 +105,7 @@ class TrainConfig:
             ("epochs", self.epochs >= 1, ">= 1"),
             ("hidden", self.hidden >= 1, ">= 1"),
             ("embedding", self.embedding >= 1, ">= 1"),
+            ("seed", self.seed >= 0, ">= 0"),
             ("eigens_every", self.eigens_every >= 0, ">= 0"),
             ("early_stop_patience", self.early_stop_patience >= 0, ">= 0"),
             ("trials", self.trials >= 1, ">= 1"),
@@ -264,18 +292,16 @@ def run_trials(
     config: TrainConfig,
     graph: SparseGraph,
     data: Dataset,
-    n_trials: int | None = None,
     graph_per_trial=None,
     on_first_trial=None,
     network=None,
 ) -> RunReport:
-    """Repeat training over ``n_trials`` derived seeds and aggregate test
+    """Repeat training over ``config.trials`` derived seeds and aggregate test
     accuracy (mean, population std). ``graph_per_trial`` (trial ->
     SparseGraph) lets sweeps vary the structure per trial; ``network`` is
     passed on to train(); ``on_first_trial(params, history)`` receives
     trial 0's result, so a caller can keep its artifacts without training
     it again."""
-    n = config.trials if n_trials is None else n_trials
     workers = _max_workers()
     t0 = time.perf_counter()
 
@@ -288,10 +314,10 @@ def run_trials(
         return history.best_test_acc
 
     if workers == 1:
-        accs = [one(t) for t in range(n)]
+        accs = [one(t) for t in range(config.trials)]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            accs = list(pool.map(one, range(n)))
+            accs = list(pool.map(one, range(config.trials)))
     wall = time.perf_counter() - t0
     return RunReport(
         mean_acc=float(np.mean(accs)),
@@ -304,11 +330,12 @@ def run_trials(
 
 def coldstart_split(graph: SparseGraph, data: Dataset, percentile: float = 3.0):
     """The cold-start setting: the low-degree tail of ``graph`` is isolated
-    (see select_isolated), and its nodes outside the train and val splits
-    become the test split. Returns (isolated nodes, reduced graph, cold
+    (see select_isolated), and its labeled nodes outside the train and val
+    splits become the test split. Returns (isolated nodes, reduced graph, cold
     dataset)."""
     isolated, reduced = select_isolated(graph, percentile)
     test_idx = np.setdiff1d(isolated, np.concatenate([data.train_idx, data.val_idx]))
+    test_idx = test_idx[data.labels[test_idx] >= 0]
     return isolated, reduced, replace(data, test_idx=test_idx)
 
 
@@ -334,21 +361,21 @@ def robustness_sweep(
     graph: SparseGraph,
     data: Dataset,
     ratios,
-    trials: int | None = None,
     gcn_kwargs: dict | None = None,
 ) -> list:
     """Per masking ratio, train the configured model and the
     graph-convolution comparator on independently masked copies of the
-    graph (one mask per trial) and record test accuracy."""
-    out = []
-    n = config.trials if trials is None else trials
+    graph (one mask per trial, ``config.trials`` trials) and record test
+    accuracy."""
     for ratio in ratios:
         if not 0.0 <= ratio <= 1.0:
-            raise ShapeMismatch(f"mask ratio {ratio} outside [0, 1]")
+            raise ConfigError(f"mask ratio {ratio} outside [0, 1]")
+    out = []
+    for ratio in ratios:
         masker = lambda trial, r=ratio: mask_edges(graph, r, seed=config.seed + trial)
-        model_report = run_trials(config, graph, data, n_trials=n, graph_per_trial=masker)
+        model_report = run_trials(config, graph, data, graph_per_trial=masker)
         gcn_report = gcn_comparator(
-            graph, data, seed=config.seed, trials=n, graph_per_trial=masker,
+            graph, data, seed=config.seed, trials=config.trials, graph_per_trial=masker,
             **(gcn_kwargs or {}),
         )
         out.append({"ratio": float(ratio), "model": model_report, "gcn": gcn_report})
@@ -555,7 +582,7 @@ def inference_benchmark(
     runners = []
     for depth in depths:
         if depth < 1:
-            raise ShapeMismatch("depth must be >= 1")
+            raise ConfigError(f"depth must be >= 1, got {depth}")
         dims = [data.n_features] + [width] * (depth - 1) + [data.n_classes]
         params = init_mlp(dims, seed=seed)
         weights, biases = params.layer_weights, params.layer_biases

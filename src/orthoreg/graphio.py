@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import EmptyGraph, MissingFile, ParseError, ShapeMismatch
+from .errors import ConfigError, EmptyGraph, MissingFile, ParseError, ShapeMismatch
 
 log = logging.getLogger(__name__)
 
@@ -67,6 +67,16 @@ class SparseGraph:
         src, dst = self.arc_endpoints()
         keep = src < dst
         return np.column_stack([src[keep], dst[keep]])
+
+
+def text_lines(path, error=ParseError) -> list:
+    """The lines of the UTF-8 text file ``path``. Bytes that do not decode
+    raise ``error`` naming the file; a bare UnicodeDecodeError names none."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
 
 def build_graph(n_nodes: int, src, dst, check_symmetry: bool = True) -> SparseGraph:
@@ -127,34 +137,33 @@ def load_edge_list(path, n_nodes: int | None = None, id_map: dict | None = None)
         raise MissingFile(f"edge list not found: {path}")
     srcs, dsts = [], []
     header_nodes = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if line.startswith("#"):
-                m = _HEADER_RE.search(line)
-                if m:
-                    header_nodes = int(m.group(1))
-                continue
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise ParseError(
-                    f"{path}:{lineno}: expected two node ids, got {len(parts)} fields"
-                )
-            try:
-                if id_map is not None:
-                    u, v = id_map[parts[0]], id_map[parts[1]]
-                else:
-                    u, v = int(parts[0]), int(parts[1])
-            except KeyError as exc:
-                raise ParseError(f"{path}:{lineno}: unknown node id {exc}") from None
-            except ValueError:
-                raise ParseError(
-                    f"{path}:{lineno}: node ids must be integers: {line!r}"
-                ) from None
-            srcs.append(u)
-            dsts.append(v)
+    for lineno, raw in enumerate(text_lines(path), start=1):
+        line = raw.strip()
+        if line.startswith("#"):
+            m = _HEADER_RE.search(line)
+            if m:
+                header_nodes = int(m.group(1))
+            continue
+        if not line:
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            raise ParseError(
+                f"{path}:{lineno}: expected two node ids, got {len(parts)} fields"
+            )
+        try:
+            if id_map is not None:
+                u, v = id_map[parts[0]], id_map[parts[1]]
+            else:
+                u, v = int(parts[0]), int(parts[1])
+        except KeyError as exc:
+            raise ParseError(f"{path}:{lineno}: unknown node id {exc}") from None
+        except ValueError:
+            raise ParseError(
+                f"{path}:{lineno}: node ids must be integers: {line!r}"
+            ) from None
+        srcs.append(u)
+        dsts.append(v)
     if not srcs:
         raise EmptyGraph(f"no edges in {path}")
     src = np.array(srcs + dsts, dtype=np.int64)
@@ -204,11 +213,12 @@ class Dataset:
                 if np.intersect1d(idx, oidx).size:
                     raise ShapeMismatch(f"{name} and {other} splits overlap")
             seen[name] = idx
-        train_labels = self.labels[sets["train"]]
-        if train_labels.size and (
-            train_labels.min() < 0 or train_labels.max() >= self.n_classes
-        ):
-            raise ShapeMismatch("train split contains an unlabeled node")
+            labels = self.labels[idx]
+            if labels.size and (labels.min() < 0 or labels.max() >= self.n_classes):
+                raise ShapeMismatch(
+                    f"{name} split contains an unlabeled node or a label outside "
+                    f"[0, {self.n_classes})"
+                )
 
 
 def _parsed(path, parse, *args, **kwargs):
@@ -223,21 +233,21 @@ def _parsed(path, parse, *args, **kwargs):
 def _read_index_file(path) -> np.ndarray:
     if not os.path.isfile(path):
         raise MissingFile(f"split file not found: {path}")
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [line.strip() for line in fh if line.strip()]
+    lines = [line.strip() for line in text_lines(path) if line.strip()]
     return np.array(_parsed(path, lambda: [int(v) for v in lines]), dtype=np.int64)
 
 
 def _read_meta(path) -> dict:
     meta = {}
     if os.path.isfile(path):
-        with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                key, _, value = line.partition("=")
-                meta[key.strip()] = value.strip()
+        for lineno, line in enumerate(text_lines(path), start=1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            key, sep, value = line.partition("=")
+            if not sep:
+                raise ParseError(f"{path}:{lineno}: expected 'key=value', got {line!r}")
+            meta[key.strip()] = value.strip()
     return meta
 
 
@@ -262,8 +272,8 @@ def load_dataset(directory) -> tuple[SparseGraph, Dataset]:
 
     id_map = None
     if os.path.isfile(p("node_ids.txt")):
-        with open(p("node_ids.txt"), "r", encoding="utf-8") as fh:
-            id_map = {line.strip(): i for i, line in enumerate(fh) if line.strip()}
+        id_map = {line.strip(): i
+                  for i, line in enumerate(text_lines(p("node_ids.txt"))) if line.strip()}
 
     n_nodes = _parsed(p("meta.txt"), int, meta.get("n_nodes", features.shape[0]))
     graph = load_edge_list(p("edges.txt"), n_nodes=n_nodes, id_map=id_map)
@@ -322,7 +332,7 @@ class NormalizedOperator:
 def normalize(g: SparseGraph, kind: str) -> NormalizedOperator:
     """Build a normalized operator from the structural adjacency."""
     if kind not in (SYM_KIND, RW_KIND, LAPLACIAN_KIND):
-        raise ValueError(f"unknown normalization kind: {kind!r}")
+        raise ConfigError(f"unknown normalization kind: {kind!r}")
     adj = g.to_scipy()
     with np.errstate(divide="ignore"):
         inv_sqrt = 1.0 / np.sqrt(g.degrees)
@@ -358,7 +368,7 @@ def select_isolated(g: SparseGraph, percentile: float = 3.0):
     preserved in the reduced graph.
     """
     if not 0.0 < percentile < 100.0:
-        raise ValueError("percentile must lie in (0, 100)")
+        raise ConfigError(f"percentile must lie in (0, 100), got {percentile}")
     order = np.sort(g.degrees)
     rank = max(1, int(np.ceil(percentile / 100.0 * g.n_nodes)))
     threshold = order[rank - 1]
@@ -375,7 +385,7 @@ def mask_edges(g: SparseGraph, ratio: float, seed: int) -> SparseGraph:
     """Remove floor(ratio * m) undirected edges uniformly without
     replacement (both arcs of each); deterministic for a fixed seed."""
     if not 0.0 <= ratio <= 1.0:
-        raise ValueError("mask ratio must lie in [0, 1]")
+        raise ConfigError(f"mask ratio must lie in [0, 1], got {ratio}")
     edges = g.undirected_edges()
     m = edges.shape[0]
     n_drop = int(np.floor(ratio * m))

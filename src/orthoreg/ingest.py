@@ -16,7 +16,7 @@ import os
 import numpy as np
 
 from .errors import MissingFile, ParseError, ShapeMismatch
-from .graphio import Dataset, build_graph, save_dataset
+from .graphio import Dataset, build_graph, save_dataset, text_lines
 from .synth import synthetic_dataset
 
 
@@ -41,21 +41,20 @@ def convert_content_cites(
             raise MissingFile(f"input file not found: {path}")
 
     ids, rows, label_names = [], [], []
-    with open(content_path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            parts = line.split()
-            if not parts:
-                continue
-            if len(parts) < 3:
-                raise ParseError(f"{content_path}:{lineno}: need id, features, label")
-            ids.append(parts[0])
-            try:
-                rows.append([float(v) for v in parts[1:-1]])
-            except ValueError:
-                raise ParseError(
-                    f"{content_path}:{lineno}: non-numeric feature value"
-                ) from None
-            label_names.append(parts[-1])
+    for lineno, line in enumerate(text_lines(content_path), start=1):
+        parts = line.split()
+        if not parts:
+            continue
+        if len(parts) < 3:
+            raise ParseError(f"{content_path}:{lineno}: need id, features, label")
+        ids.append(parts[0])
+        try:
+            rows.append([float(v) for v in parts[1:-1]])
+        except ValueError:
+            raise ParseError(
+                f"{content_path}:{lineno}: non-numeric feature value"
+            ) from None
+        label_names.append(parts[-1])
     if not ids:
         raise ParseError(f"{content_path}: no content rows")
     widths = {len(r) for r in rows}
@@ -72,18 +71,17 @@ def convert_content_cites(
     n = len(ids)
 
     src, dst = [], []
-    with open(cites_path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            parts = line.split()
-            if not parts or parts[0].startswith("#"):
-                continue
-            if len(parts) != 2:
-                raise ParseError(f"{cites_path}:{lineno}: expected two ids")
-            a, b = parts
-            if a not in id_map or b not in id_map:
-                continue  # citations to papers outside the content table
-            src.append(id_map[a])
-            dst.append(id_map[b])
+    for lineno, line in enumerate(text_lines(cites_path), start=1):
+        parts = line.split()
+        if not parts or parts[0].startswith("#"):
+            continue
+        if len(parts) != 2:
+            raise ParseError(f"{cites_path}:{lineno}: expected two ids")
+        a, b = parts
+        if a not in id_map or b not in id_map:
+            continue  # citations to papers outside the content table
+        src.append(id_map[a])
+        dst.append(id_map[b])
     graph = build_graph(n, np.array(src + dst), np.array(dst + src), check_symmetry=False)
 
     if splits_dir is not None:
@@ -91,8 +89,7 @@ def convert_content_cites(
             path = os.path.join(splits_dir, f"{name}.txt")
             if not os.path.isfile(path):
                 raise MissingFile(f"split file not found: {path}")
-            with open(path, "r", encoding="utf-8") as fh:
-                raw = [line.strip() for line in fh if line.strip()]
+            raw = [line.strip() for line in text_lines(path) if line.strip()]
             try:
                 return np.array([id_map[r] for r in raw], dtype=np.int64)
             except KeyError as exc:

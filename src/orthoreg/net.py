@@ -261,8 +261,17 @@ def load_checkpoint(path) -> MlpParams:
             raise ShapeMismatch(f"unsupported checkpoint version {version}")
         dims = [int(d) for d in blob["dims"]]
         activation = str(blob["activation"][0]) if "activation" in blob else "relu"
-        n_layers = len(dims) - 1
-        weights = [blob[f"W{i}"].astype(np.float64) for i in range(n_layers)]
-        biases = [blob[f"b{i}"].astype(np.float64) for i in range(n_layers)]
+        if activation != "relu":
+            raise ShapeMismatch(f"{path}: activation {activation!r} is not relu, "
+                                "the only one forward applies")
+        weights, biases = [], []
+        for i, (fan_in, fan_out) in enumerate(zip(dims[:-1], dims[1:])):
+            for name, shape, arrays in ((f"W{i}", (fan_in, fan_out), weights),
+                                        (f"b{i}", (fan_out,), biases)):
+                arr = blob[name]
+                if arr.shape != shape:
+                    raise ShapeMismatch(f"{path}: {name} has shape {arr.shape} "
+                                        f"but dims {dims} give {shape}")
+                arrays.append(arr.astype(np.float64))
     return MlpParams(layer_weights=weights, layer_biases=biases, dims=dims,
                      activation=activation)

@@ -32,14 +32,25 @@ from .tensor import CORRELATION_EPS, as_matrix, spmm, spmm_t
 POOL_AVERAGE = "average_1toT"
 POOL_SECOND_HOP = "second_hop_only"
 
+# the regularizer kinds and the strengths each one reads
+REG_STRENGTHS = {
+    "none": (),
+    "laplacian": ("lam",),
+    "preg": ("lam",),
+    "corr_identity": ("lam",),
+    "orthoreg": ("alpha", "beta"),
+}
+REG_KINDS = tuple(REG_STRENGTHS)
+
 
 @dataclass(frozen=True)
 class RegularizerSpec:
     """Which regularizer to train with, and its strengths.
 
-    kinds: ``none``, ``laplacian`` (uses lam), ``preg`` (lam),
+    kinds (REG_KINDS): ``none``, ``laplacian`` (uses lam), ``preg`` (lam),
     ``corr_identity`` (lam), ``orthoreg`` (alpha, beta, hops,
-    pooling). ``center_correlation=False`` switches the cross-correlation
+    pooling); REG_STRENGTHS lists the strengths each reads.
+    ``center_correlation=False`` switches the cross-correlation
     to the uncentered second-moment variant.
     """
 
@@ -52,7 +63,7 @@ class RegularizerSpec:
     center_correlation: bool = True
 
     def __post_init__(self):
-        if self.kind not in ("none", "laplacian", "preg", "corr_identity", "orthoreg"):
+        if self.kind not in REG_KINDS:
             raise ConfigError(f"unknown regularizer kind: {self.kind!r}")
         if min(self.lam, self.alpha, self.beta) < 0.0:
             raise ConfigError("regularizer strengths must be non-negative")

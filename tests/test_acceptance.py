@@ -316,7 +316,7 @@ class TestCriterion9Robustness:
         cfg = cora_train_config(
             RegularizerSpec(kind="orthoreg", alpha=alpha, beta=beta, hops=2)
         )
-        sweep = robustness_sweep(cfg, graph, data, ratios=[0.0, 0.2, 0.4], trials=10)
+        sweep = robustness_sweep(cfg, graph, data, ratios=[0.0, 0.2, 0.4])
         base = {e["ratio"]: e for e in sweep}[0.0]
         failures = []
         for ratio in (0.2, 0.4):

@@ -1,11 +1,16 @@
 import json
 import os
+import shutil
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
+from orthoreg import cli, errors
 from orthoreg.cli import main
+from orthoreg.experiments import TrainConfig
 from orthoreg.ingest import write_synthetic
+from orthoreg.reg import RegularizerSpec
 
 
 @pytest.fixture(scope="module")
@@ -16,6 +21,18 @@ def dataset_dir(tmp_path_factory):
         labels_per_class=10, n_val=24, n_test=45, seed=4,
     )
     return str(path)
+
+
+@pytest.fixture(scope="module")
+def cora_named_dir(dataset_dir, tmp_path_factory):
+    path = tmp_path_factory.mktemp("named") / "cora"
+    shutil.copytree(dataset_dir, path)
+    return str(path)
+
+
+def resolved(out_dir) -> dict:
+    with open(os.path.join(out_dir, "config.resolved")) as fh:
+        return dict(line.rstrip("\n").split(" = ", 1) for line in fh)
 
 
 def run_cli(capsys, *argv):
@@ -91,8 +108,6 @@ class TestTrain:
         assert "nope" in err
 
     def test_missing_features_file_exits_3_naming_it(self, dataset_dir, tmp_path, capsys):
-        import shutil
-
         broken = tmp_path / "broken"
         shutil.copytree(dataset_dir, broken)
         os.remove(broken / "features.csv")
@@ -139,11 +154,10 @@ class TestTrain:
         ("labels.csv", 1, "1.5"),
         ("splits/val.txt", None, "x"),
         ("meta.txt", None, "n_classes=four"),
+        ("meta.txt", None, "n_classes: 6"),
     ])
     def test_malformed_dataset_file_exits_3_naming_it(self, dataset_dir, tmp_path, capsys,
                                                       name, line, content):
-        import shutil
-
         broken = tmp_path / "broken"
         shutil.copytree(dataset_dir, broken)
         path = broken / name
@@ -157,6 +171,27 @@ class TestTrain:
                                "--out", str(tmp_path / "o"), *FAST_TRAIN)
         assert code == 3
         assert name in err
+
+    @pytest.mark.parametrize("name", ["edges.txt", "features.csv", "meta.txt",
+                                      "splits/val.txt"])
+    def test_undecodable_dataset_file_exits_3_naming_it(self, dataset_dir, tmp_path, capsys,
+                                                         name):
+        broken = tmp_path / "broken"
+        shutil.copytree(dataset_dir, broken)
+        with open(broken / name, "ab") as fh:
+            fh.write(b"\xff\xfe\n")
+        code, _, err = run_cli(capsys, "train", "--dataset", str(broken),
+                               "--out", str(tmp_path / "o"), *FAST_TRAIN)
+        assert code == 3
+        assert name in err
+
+    def test_undecodable_config_file_exits_2_naming_it(self, dataset_dir, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"epochs = 3\n# caf\xe9\n")
+        code, _, err = run_cli(capsys, "train", "--dataset", dataset_dir,
+                               "--config", str(cfg), "--out", str(tmp_path / "o"))
+        assert code == 2
+        assert "run.cfg" in err
 
     def test_config_file_unknown_key_exits_2(self, dataset_dir, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -228,6 +263,140 @@ class TestTrain:
         assert len(report["trials"]) == trials
         assert report["wall_clock_s"] > 0.0
         assert len(open(os.path.join(out, "metrics.jsonl")).read().splitlines()) == 5
+
+
+class TestResolution:
+    def test_given_beta_kept_and_alpha_from_dataset_table(self, cora_named_dir, tmp_path,
+                                                          capsys):
+        out = str(tmp_path / "o")
+        code, _, _ = run_cli(capsys, "train", "--dataset", cora_named_dir, "--out", out,
+                             "--reg", "orthoreg", "--beta", "5e-5", "--epochs", "3",
+                             "--trials", "1")
+        assert code == 0
+        assert resolved(out)["reg.alpha"] == "0.002"
+        assert resolved(out)["reg.beta"] == "5e-05"
+        report = json.loads(open(os.path.join(out, "report.json")).read())
+        assert report["config"]["regularizer"]["beta"] == 5e-5
+
+    def test_unknown_dataset_name_falls_back(self, dataset_dir, tmp_path, capsys):
+        out = str(tmp_path / "o")
+        code, _, _ = run_cli(capsys, "train", "--dataset", dataset_dir, "--out", out,
+                             "--reg", "orthoreg", "--epochs", "3", "--trials", "1")
+        assert code == 0
+        assert (resolved(out)["reg.alpha"], resolved(out)["reg.beta"]) == ("0.001", "1e-06")
+
+    def test_laplacian_lam_default(self, dataset_dir, tmp_path, capsys):
+        out = str(tmp_path / "o")
+        code, _, _ = run_cli(capsys, "train", "--dataset", dataset_dir, "--out", out,
+                             "--reg", "laplacian", "--epochs", "3", "--trials", "1")
+        assert code == 0
+        assert resolved(out)["reg.lam"] == "0.1"
+
+    @pytest.mark.parametrize("kind", ["preg", "corr_identity"])
+    def test_strength_without_default_exits_2_naming_it(self, dataset_dir, tmp_path, capsys,
+                                                         kind):
+        code, stdout, err = run_cli(capsys, "train", "--dataset", dataset_dir,
+                                    "--out", str(tmp_path / "o"), "--reg", kind,
+                                    "--epochs", "3", "--trials", "1")
+        assert code == 2
+        assert "lam" in err
+        assert stdout == ""
+
+    def test_suite_records_its_resolved_config(self, dataset_dir, tmp_path, capsys):
+        out = str(tmp_path / "s")
+        code, _, _ = run_cli(capsys, "suite", "coldstart", "--dataset", dataset_dir,
+                             "--out", out, "--beta", "3e-6", "--epochs", "4", "--trials", "1")
+        assert code == 0
+        lines = resolved(out)
+        assert lines["reg"] == "orthoreg"
+        assert (lines["reg.alpha"], lines["reg.beta"]) == ("0.001", "3e-06")
+        assert (lines["epochs"], lines["trials"], lines["seed"]) == ("4", "1", "0")
+        assert (lines["dataset"], lines["out"]) == (dataset_dir, out)
+        assert {"lr", "hidden", "reg.hops", "reg.pooling"} <= set(lines)
+
+    def test_bad_boolean_in_config_file_exits_2_naming_key(self, dataset_dir, tmp_path,
+                                                            capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("center_correlation = ture\n")
+        code, _, err = run_cli(capsys, "train", "--dataset", dataset_dir,
+                               "--config", str(cfg), "--out", str(tmp_path / "o"))
+        assert code == 2
+        assert "center_correlation" in err
+
+    def test_every_field_is_a_config_key_and_round_trips(self, dataset_dir, tmp_path,
+                                                          capsys):
+        values = {
+            "kind": "orthoreg", "lam": 0.25, "alpha": 0.003, "beta": 2e-06, "hops": 3,
+            "pooling": "second_hop_only", "center_correlation": False,
+            "lr": 0.02, "dropout_p": 0.25, "weight_decay": 0.0001, "epochs": 4,
+            "hidden": 6, "embedding": 5, "seed": 7, "eigens_every": 2,
+            "early_stop_patience": 3, "trials": 1,
+        }
+        spec_fields = [f.name for f in fields(RegularizerSpec)]
+        train_fields = [f.name for f in fields(TrainConfig)
+                        if f.name not in ("regularizer", "dims")]
+        assert set(values) == set(spec_fields) | set(train_fields)
+        key = {name: "reg" if name == "kind" else name for name in values}
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("".join(f"{key[name]} = {v}\n" for name, v in values.items()))
+        out = str(tmp_path / "o")
+        code, _, err = run_cli(capsys, "train", "--dataset", dataset_dir,
+                               "--config", str(cfg), "--out", out)
+        assert code == 0, err
+        lines = resolved(out)
+        for name, v in values.items():
+            line = name if name in train_fields else ("reg" if name == "kind" else f"reg.{name}")
+            assert lines[line] == str(v), name
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("argv, code, named", [
+        (["suite", "robustness", "--ratios", "1.5"], 2, "ratio"),
+        (["suite", "robustness", "--ratios", "0,x"], 2, "--ratios"),
+        (["bench", "--depths", "0"], 2, "depth"),
+        (["bench", "--depths", "2,x"], 2, "--depths"),
+        (["simulate", "--kind", "closed-form", "--dim", "0"], 2, "--dim"),
+        (["simulate", "--kind", "feature-update", "--dim", "0"], 2, "--dim"),
+        (["simulate", "--kind", "gd-linear", "--steps", "-3"], 2, "--steps"),
+        (["simulate", "--kind", "gd-linear", "--steps", "0"], 2, "--steps"),
+        (["simulate", "--kind", "closed-form", "--n", "1"], 2, "--n"),
+    ])
+    def test_bad_user_value_exits_2_naming_it(self, dataset_dir, tmp_path, capsys,
+                                              argv, code, named):
+        if argv[0] != "simulate":
+            argv = argv + ["--dataset", dataset_dir]
+        got, stdout, err = run_cli(capsys, *argv, "--out", str(tmp_path / "o"))
+        assert got == code
+        assert named in err
+        assert stdout == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["ingest"], ["train"], ["simulate", "--kind", "closed-form"], ["suite", "table1"],
+        ["bench"],
+    ])
+    def test_negative_seed_exits_2_naming_flag(self, tmp_path, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--seed", "-1", "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("error, code", [
+        (errors.ConfigError, 2),
+        (errors.ParseError, 3), (errors.MissingFile, 3), (errors.ShapeMismatch, 3),
+        (errors.EmptyGraph, 3), (errors.EmptyMask, 3), (errors.InputNotWhitened, 3),
+        (errors.Divergence, 4), (errors.NoConvergence, 4), (errors.NotSymmetric, 4),
+        (errors.UnstableStepSize, 4),
+    ])
+    def test_error_type_carries_its_exit_code(self, tmp_path, capsys, monkeypatch,
+                                              error, code):
+        def fail(path):
+            raise error("boom")
+
+        monkeypatch.setattr(cli, "load_dataset", fail)
+        got, _, err = run_cli(capsys, "train", "--dataset", "x",
+                              "--out", str(tmp_path / "o"))
+        assert got == code == error.exit_code
+        assert "boom" in err
 
 
 class TestSimulate:

@@ -20,6 +20,7 @@ from orthoreg.experiments import (
     gcn_comparator,
     gcn_forward,
     inference_benchmark,
+    resolve_regularizer,
     robustness_sweep,
     run_trials,
     sgc_comparator,
@@ -56,7 +57,7 @@ class TestTrainLoop:
         ("dropout_p", 1.0), ("dropout_p", 1.5), ("dropout_p", -0.1),
         ("lr", 0.0), ("lr", -1.0), ("lr", float("nan")),
         ("weight_decay", -1.0), ("hidden", 0), ("embedding", 0),
-        ("early_stop_patience", -5),
+        ("early_stop_patience", -5), ("seed", -1),
     ])
     def test_bad_value_rejected_naming_field(self, field, value):
         with pytest.raises(ConfigError, match=field):
@@ -123,8 +124,8 @@ class TestTrainLoop:
             regularizer=RegularizerSpec(kind="orthoreg", alpha=0.2, beta=2e-4, hops=2),
             seed=1, **common,
         )
-        acc_mlp = run_trials(mlp, graph, data, n_trials=3).mean_acc
-        acc_ortho = run_trials(ortho, graph, data, n_trials=3).mean_acc
+        acc_mlp = run_trials(dataclasses.replace(mlp, trials=3), graph, data).mean_acc
+        acc_ortho = run_trials(dataclasses.replace(ortho, trials=3), graph, data).mean_acc
         assert acc_ortho >= acc_mlp + 0.03
 
 
@@ -222,7 +223,7 @@ class TestEvaluate:
 class TestRunTrials:
     def test_reports_per_trial_and_population_std(self, synthetic_problem):
         graph, data = synthetic_problem
-        report = run_trials(small_config("none"), graph, data, n_trials=3)
+        report = run_trials(dataclasses.replace(small_config("none"), trials=3), graph, data)
         assert len(report.per_trial) == 3
         assert report.std_acc == pytest.approx(float(np.std(report.per_trial)))
         assert report.std_acc >= 0.0
@@ -231,9 +232,9 @@ class TestRunTrials:
     def test_thread_fanout_matches_serial(self, synthetic_problem, monkeypatch):
         graph, data = synthetic_problem
         cfg = small_config("none")
-        serial = run_trials(cfg, graph, data, n_trials=3)
+        serial = run_trials(dataclasses.replace(cfg, trials=3), graph, data)
         monkeypatch.setenv("ORTHOREG_THREADS", "3")
-        threaded = run_trials(cfg, graph, data, n_trials=3)
+        threaded = run_trials(dataclasses.replace(cfg, trials=3), graph, data)
         assert serial.per_trial == threaded.per_trial
 
 
@@ -242,12 +243,19 @@ class TestRunTrials:
         for raw in ("two", "0", "-3", "1.5"):
             monkeypatch.setenv("ORTHOREG_THREADS", raw)
             with pytest.raises(ConfigError, match="ORTHOREG_THREADS"):
-                run_trials(small_config("none"), graph, data, n_trials=1)
+                run_trials(small_config("none"), graph, data)
+
+    @pytest.mark.parametrize("trials", [1, 3])
+    def test_report_config_matches_trials_run(self, synthetic_problem, trials):
+        graph, data = synthetic_problem
+        cfg = dataclasses.replace(small_config("none"), epochs=5, trials=trials)
+        report = run_trials(cfg, graph, data)
+        assert report.config["trials"] == len(report.per_trial) == trials
 
     def test_first_trial_result_handed_back(self, synthetic_problem):
         graph, data = synthetic_problem
         seen = []
-        report = run_trials(small_config("none"), graph, data, n_trials=2,
+        report = run_trials(small_config("none"), graph, data,
                             on_first_trial=lambda p, h: seen.append(h))
         assert len(seen) == 1
         assert report.per_trial[0] == seen[0].best_test_acc
@@ -275,6 +283,18 @@ class TestColdstart:
         np.testing.assert_array_equal(cold.train_idx, data.train_idx)
         np.testing.assert_array_equal(cold.val_idx, data.val_idx)
 
+    def test_unlabeled_isolated_nodes_left_out_of_test_split(self, synthetic_problem):
+        graph, data = synthetic_problem
+        isolated, _, cold = coldstart_split(graph, data, 20.0)
+        unlabeled = cold.test_idx[:5]
+        labels = data.labels.copy()
+        labels[unlabeled] = -1
+        partial = dataclasses.replace(data, labels=labels,
+                                      test_idx=np.setdiff1d(data.test_idx, unlabeled))
+        _, _, partial_cold = coldstart_split(graph, partial, 20.0)
+        np.testing.assert_array_equal(partial_cold.test_idx,
+                                      np.setdiff1d(cold.test_idx, unlabeled))
+
     def test_trials_score_the_cold_test_split(self, synthetic_problem):
         graph, data = synthetic_problem
         cfg = small_config("orthoreg", alpha=0.05, beta=5e-5)
@@ -284,19 +304,45 @@ class TestColdstart:
         assert report.extras["n_eval"] == cold.test_idx.size
 
 
+class TestResolveRegularizer:
+    def test_given_strength_kept_and_missing_one_from_dataset_table(self):
+        spec = resolve_regularizer({"kind": "orthoreg", "beta": 5e-5}, "data/Cora/")
+        assert (spec.alpha, spec.beta) == (2e-3, 5e-5)
+
+    def test_unknown_dataset_falls_back(self):
+        spec = resolve_regularizer({"kind": "orthoreg"}, "data/elsewhere")
+        assert (spec.alpha, spec.beta) == (1e-3, 1e-6)
+
+    def test_given_strengths_win(self):
+        spec = resolve_regularizer({"kind": "orthoreg", "alpha": 0.0, "beta": 3e-4}, "cora")
+        assert (spec.alpha, spec.beta) == (0.0, 3e-4)
+
+    def test_laplacian_lam_default(self):
+        assert resolve_regularizer({"kind": "laplacian"}, "x").lam == 0.1
+
+    @pytest.mark.parametrize("kind", ["preg", "corr_identity"])
+    def test_strength_without_default_must_be_given(self, kind):
+        with pytest.raises(ConfigError, match="lam"):
+            resolve_regularizer({"kind": kind}, "cora")
+        assert resolve_regularizer({"kind": kind, "lam": 0.2}, "cora").lam == 0.2
+
+    def test_unread_strengths_untouched(self):
+        assert resolve_regularizer({}, "cora") == RegularizerSpec()
+
+
 class TestRobustness:
     def test_zero_ratio_reproduces_transductive_run(self, synthetic_problem):
         graph, data = synthetic_problem
         cfg = small_config("orthoreg", alpha=0.05, beta=5e-5)
-        sweep = robustness_sweep(cfg, graph, data, ratios=[0.0], trials=2,
+        sweep = robustness_sweep(cfg, graph, data, ratios=[0.0],
                                  gcn_kwargs=dict(hidden=16, epochs=40))
-        base = run_trials(cfg, graph, data, n_trials=2)
+        base = run_trials(cfg, graph, data)
         assert sweep[0]["model"].per_trial == base.per_trial
 
     def test_full_masking_still_finite(self, synthetic_problem):
         graph, data = synthetic_problem
         cfg = small_config("orthoreg", alpha=0.05, beta=5e-5)
-        sweep = robustness_sweep(cfg, graph, data, ratios=[1.0], trials=1,
+        sweep = robustness_sweep(dataclasses.replace(cfg, trials=1), graph, data, ratios=[1.0],
                                  gcn_kwargs=dict(hidden=16, epochs=40))
         acc = sweep[0]["model"].mean_acc
         assert np.isfinite(acc)
@@ -304,8 +350,8 @@ class TestRobustness:
 
     def test_bad_ratio_rejected(self, synthetic_problem):
         graph, data = synthetic_problem
-        with pytest.raises(ShapeMismatch):
-            robustness_sweep(small_config("none"), graph, data, ratios=[1.2], trials=1)
+        with pytest.raises(ConfigError):
+            robustness_sweep(small_config("none"), graph, data, ratios=[1.2])
 
 
 class TestAblation:
@@ -471,7 +517,7 @@ class TestInferenceBenchmark:
 
     def test_depth_must_be_positive(self, synthetic_problem):
         graph, data = synthetic_problem
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(ConfigError, match="depth"):
             inference_benchmark(graph, data, depths=(0,))
 
 
@@ -505,7 +551,7 @@ class TestWriters:
 
     def test_report_json_schema(self, tmp_path, synthetic_problem):
         graph, data = synthetic_problem
-        report = run_trials(small_config("none"), graph, data, n_trials=2)
+        report = run_trials(small_config("none"), graph, data)
         path = tmp_path / "report.json"
         write_report_json(report, path)
         data_out = json.loads(path.read_text())

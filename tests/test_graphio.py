@@ -108,6 +108,23 @@ class TestDatasetRoundTrip:
         with pytest.raises(ShapeMismatch, match="overlap"):
             load_dataset(tmp_path / "ds")
 
+    @pytest.mark.parametrize("split", ["val", "test"])
+    def test_unlabeled_val_or_test_node_rejected_naming_split(self, split):
+        idx = {"train_idx": np.array([0]), "val_idx": np.array([2]),
+               "test_idx": np.array([3])}
+        idx[f"{split}_idx"] = np.array([1])
+        with pytest.raises(ShapeMismatch, match=f"{split} split"):
+            Dataset(features=np.zeros((4, 2)), labels=np.array([0, -1, 1, 1]),
+                    n_classes=2, **idx)
+
+    def test_meta_line_without_equals_rejected_naming_file_and_line(
+            self, tmp_path, synthetic_problem):
+        graph, data = synthetic_problem
+        save_dataset(tmp_path / "ds", graph, data)
+        write(tmp_path / "ds" / "meta.txt", f"n_nodes={graph.n_nodes}\nn_classes: 6\n")
+        with pytest.raises(ParseError, match=r"meta\.txt:2:"):
+            load_dataset(tmp_path / "ds")
+
     def test_unlabeled_train_node_rejected(self):
         with pytest.raises(ShapeMismatch):
             Dataset(

@@ -346,3 +346,17 @@ class TestCheckpoint:
         np.savez(path, **blob)
         with pytest.raises(ShapeMismatch):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("name, value, message", [
+        ("W1", np.zeros((3, 3)), "W1"),
+        ("b0", np.zeros(5), "b0"),
+        ("activation", np.asarray(["tanh"]), "tanh"),
+    ])
+    def test_contradicting_arrays_rejected_naming_them(self, tmp_path, name, value, message):
+        path = tmp_path / "model.npz"
+        save_checkpoint(init_mlp([32, 16, 8, 4], seed=0), path)
+        blob = dict(np.load(path))
+        blob[name] = value
+        np.savez(path, **blob)
+        with pytest.raises(ShapeMismatch, match=message):
+            load_checkpoint(path)
