@@ -231,6 +231,10 @@ def cmd_simulate(args) -> int:
     for flag, value, least in (("--dim", args.dim, 1), ("--steps", steps, 1), ("--n", args.n, 2)):
         if value < least:
             raise ConfigError(f"{flag} must be >= {least}, got {value}")
+    # whitening the node features needs more nodes than feature columns
+    if args.kind in ("closed-form", "gd-linear") and args.dim >= args.n:
+        raise ConfigError(f"--dim must be below --n for --kind {args.kind}, "
+                          f"got --dim {args.dim} and --n {args.n}")
     rng = np.random.default_rng(seed)
     graph = _make_graph(args)
     os.makedirs(out_dir, exist_ok=True)

@@ -85,8 +85,12 @@ def build_p(x, lap: NormalizedOperator) -> np.ndarray:
 def _w_snapshot(step: int, w: np.ndarray) -> Snapshot:
     """For weight-matrix runs the eigen report carries the squared singular
     values: the embedding covariance spectrum when inputs are whitened."""
+    if not np.all(np.isfinite(w)):
+        raise Divergence(f"weights overflowed at snapshot {step}")
     sv = singular_values(w)
     lam = sv**2
+    if not np.isfinite(lam[0]):
+        raise Divergence(f"squared singular values overflowed at snapshot {step}")
     return Snapshot(
         step=step,
         state=w.copy(),

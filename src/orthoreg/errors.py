@@ -44,12 +44,6 @@ class NotSymmetric(OrthoRegError):
     exit_code = 4
 
 
-class NoConvergence(OrthoRegError):
-    """Iterative solver hit its iteration cap."""
-
-    exit_code = 4
-
-
 class UnstableStepSize(OrthoRegError):
     """Explicit iteration step size violates its stability bound."""
 

@@ -420,8 +420,7 @@ def tune_coarse_grid(
     for alpha in alphas:
         for ratio in ratios:
             beta = alpha / ratio
-            spec = RegularizerSpec(kind="orthoreg", alpha=alpha, beta=beta,
-                                   hops=cfg.regularizer.hops or 2)
+            spec = replace(cfg.regularizer, kind="orthoreg", alpha=alpha, beta=beta)
             _, history = train(replace(cfg, regularizer=spec), graph, data)
             cell = {"alpha": alpha, "beta": beta, "val_acc": history.best_val_acc,
                     "test_acc": history.best_test_acc}

@@ -65,8 +65,10 @@ class RegularizerSpec:
     def __post_init__(self):
         if self.kind not in REG_KINDS:
             raise ConfigError(f"unknown regularizer kind: {self.kind!r}")
-        if min(self.lam, self.alpha, self.beta) < 0.0:
-            raise ConfigError("regularizer strengths must be non-negative")
+        for name in ("lam", "alpha", "beta"):
+            value = getattr(self, name)
+            if not 0.0 <= value < np.inf:
+                raise ConfigError(f"{name} must be finite and >= 0, got {value!r}")
         if self.hops < 1:
             raise ConfigError("hops must be >= 1")
         if self.pooling not in (POOL_AVERAGE, POOL_SECOND_HOP):

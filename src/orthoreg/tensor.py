@@ -1,12 +1,14 @@
-"""Dense numerical kernels: covariance/correlation, a symmetric Jacobi
-eigensolver, singular values, the symmetric matrix exponential, and the
-normalized eigenvalue sum (NESum) collapse metric.
+"""Dense numerical kernels: covariance/correlation, symmetric
+eigendecomposition, singular values, the symmetric matrix exponential, and
+the normalized eigenvalue sum (NESum) collapse metric.
 
 Matrices are plain 2-D float64 ``numpy.ndarray`` objects throughout the
 package; every public operation validates shape and finiteness at its
-boundary. The eigensolver is a cyclic Jacobi iteration with a round-robin
-(parallel) ordering: each round rotates a set of disjoint index pairs,
-which keeps the schedule deterministic and lets the updates vectorize.
+boundary. Every eigendecomposition goes to LAPACK (``numpy.linalg.eigh``/
+``eigvalsh``) after a symmetry check, and is returned in non-ascending
+order; singular values come from LAPACK's SVD. An independent cyclic
+Jacobi eigensolver under ``tests/`` is the reference these routines are
+checked against.
 """
 
 from __future__ import annotations
@@ -15,15 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoConvergence, NotSymmetric, ShapeMismatch
+from .errors import NotSymmetric, ShapeMismatch
 
 SYM_TOL = 1e-10
-JACOBI_OFF_TOL = 1e-12
-JACOBI_MAX_SWEEPS = 100
-# above this order, eigendecompositions route to LAPACK: a Python-level
-# Jacobi sweep costs ~30x more than its compiled equivalent, which would
-# dominate the spectrum-diagnostics pipeline at embedding width 512
-JACOBI_DISPATCH_MAX_N = 128
 CORRELATION_EPS = 1e-8
 NESUM_EPS = 1e-12
 
@@ -95,136 +91,33 @@ def _check_symmetric(m: np.ndarray, name: str = "matrix") -> np.ndarray:
     return (m + m.T) / 2.0
 
 
-def _round_robin_rounds(n: int):
-    """Round-robin schedule: n-1 rounds of disjoint index pairs covering
-    every unordered pair exactly once (circle method; odd n gets a bye)."""
-    m = n + (n % 2)
-    others = list(range(1, m))
-    rounds = []
-    for _ in range(m - 1):
-        lineup = [0] + others
-        p = np.array(lineup[: m // 2], dtype=np.intp)
-        q = np.array(lineup[m // 2:][::-1], dtype=np.intp)
-        keep = (p < n) & (q < n)
-        lo = np.minimum(p[keep], q[keep])
-        hi = np.maximum(p[keep], q[keep])
-        rounds.append((lo, hi))
-        others = others[-1:] + others[:-1]
-    return rounds
-
-
-def jacobi_eigh(m, want_vectors: bool = True):
-    """Symmetric eigendecomposition by cyclic Jacobi rotations.
-
-    Returns ``(values, vectors)`` with values sorted non-ascending and
-    vectors (columns) aligned; ``vectors`` is None when not requested.
-    Convergence: off-diagonal Frobenius norm below ``JACOBI_OFF_TOL``
-    relative to the input Frobenius norm, capped at ``JACOBI_MAX_SWEEPS``
-    sweeps.
-    """
-    a = as_matrix(m, "m").copy()
-    a = _check_symmetric(a, "m")
-    n = a.shape[0]
-    if n == 1:
-        vals = a.reshape(1).copy()
-        vecs = np.ones((1, 1)) if want_vectors else None
-        return vals, vecs
-
-    v = np.eye(n) if want_vectors else None
-    fro = float(np.linalg.norm(a))
-    if fro == 0.0:
-        return np.zeros(n), v
-    target = JACOBI_OFF_TOL * fro
-    rounds = _round_robin_rounds(n)
-
-    for _ in range(JACOBI_MAX_SWEEPS):
-        # measure the off-diagonal norm directly; the sum(a^2)-sum(diag^2)
-        # shortcut cancels catastrophically near convergence
-        od = a.copy()
-        np.fill_diagonal(od, 0.0)
-        off = float(np.linalg.norm(od))
-        if off <= target:
-            break
-        for p, q in rounds:
-            apq = a[p, q]
-            active = np.abs(apq) > 0.0
-            if not np.any(active):
-                continue
-            app = a[p, p]
-            aqq = a[q, q]
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                tau = (aqq - app) / (2.0 * apq)
-                root = np.sqrt(1.0 + tau * tau)
-                t = np.where(tau >= 0.0, 1.0 / (tau + root), 1.0 / (tau - root))
-            t = np.where(active, t, 0.0)
-            c = 1.0 / np.sqrt(1.0 + t * t)
-            s = t * c
-            # pairs within a round are disjoint, so batched row/column
-            # rotations compose exactly
-            rp = c[:, None] * a[p, :] - s[:, None] * a[q, :]
-            rq = s[:, None] * a[p, :] + c[:, None] * a[q, :]
-            a[p, :] = rp
-            a[q, :] = rq
-            cp = c[None, :] * a[:, p] - s[None, :] * a[:, q]
-            cq = s[None, :] * a[:, p] + c[None, :] * a[:, q]
-            a[:, p] = cp
-            a[:, q] = cq
-            a[p, q] = 0.0
-            a[q, p] = 0.0
-            if want_vectors:
-                vp = c[None, :] * v[:, p] - s[None, :] * v[:, q]
-                vq = s[None, :] * v[:, p] + c[None, :] * v[:, q]
-                v[:, p] = vp
-                v[:, q] = vq
-    else:
-        raise NoConvergence(
-            f"Jacobi iteration did not reach off-diagonal norm {target:g} "
-            f"in {JACOBI_MAX_SWEEPS} sweeps"
-        )
-
-    vals = np.diag(a).copy()
-    order = np.argsort(-vals, kind="stable")
-    vals = vals[order]
-    if want_vectors:
-        v = v[:, order]
-    return vals, v
-
-
-def _eigh_dispatch(m, want_vectors: bool):
-    """Jacobi up to ``JACOBI_DISPATCH_MAX_N``, LAPACK beyond; identical
-    contract (non-ascending values, aligned column eigenvectors)."""
-    a = _check_symmetric(as_matrix(m, "m"), "m")
-    if a.shape[0] <= JACOBI_DISPATCH_MAX_N:
-        return jacobi_eigh(a, want_vectors=want_vectors)
-    if want_vectors:
-        vals, vecs = np.linalg.eigh(a)
-        return vals[::-1].copy(), vecs[:, ::-1].copy()
-    return np.linalg.eigvalsh(a)[::-1].copy(), None
-
-
 def sym_eigvals(m) -> np.ndarray:
     """Eigenvalues of a symmetric matrix, sorted non-ascending."""
-    vals, _ = _eigh_dispatch(m, want_vectors=False)
-    return vals
+    a = _check_symmetric(as_matrix(m, "m"), "m")
+    return np.linalg.eigvalsh(a)[::-1].copy()
 
 
 def sym_eig(m):
     """(values, vectors) of a symmetric matrix, values non-ascending and
     eigenvector columns aligned."""
-    return _eigh_dispatch(m, want_vectors=True)
+    a = _check_symmetric(as_matrix(m, "m"), "m")
+    vals, vecs = np.linalg.eigh(a)
+    return vals[::-1].copy(), vecs[:, ::-1].copy()
 
 
 def singular_values(w) -> np.ndarray:
-    """Singular values sqrt(eig(W^T W)), non-ascending, clamped at zero."""
+    """Singular values of W, non-ascending, one per column (a wide W ends
+    in zeros, as sqrt(eig(W^T W)) would). Taken from the SVD of W itself:
+    forming W^T W squares the condition number and loses the small
+    singular values that the collapse checks compare."""
     w = as_matrix(w, "w")
-    gram = w.T @ w
-    vals = sym_eigvals((gram + gram.T) / 2.0)
-    return np.sqrt(np.clip(vals, 0.0, None))
+    sv = np.linalg.svd(w, compute_uv=False)
+    return np.concatenate([sv, np.zeros(w.shape[1] - sv.size)])
 
 
 def expm_sym(p, t: float) -> np.ndarray:
     """exp(P t) for symmetric P via full eigendecomposition."""
-    vals, vecs = _eigh_dispatch(p, want_vectors=True)
+    vals, vecs = sym_eig(p)
     return (vecs * np.exp(vals * t)) @ vecs.T
 
 

@@ -360,6 +360,11 @@ class TestExitCodes:
         (["simulate", "--kind", "gd-linear", "--steps", "-3"], 2, "--steps"),
         (["simulate", "--kind", "gd-linear", "--steps", "0"], 2, "--steps"),
         (["simulate", "--kind", "closed-form", "--n", "1"], 2, "--n"),
+        (["train", "--reg", "orthoreg", "--alpha", "nan"], 2, "alpha"),
+        (["train", "--reg", "orthoreg", "--beta", "inf"], 2, "beta"),
+        (["train", "--reg", "laplacian", "--lam", "-1"], 2, "lam"),
+        (["simulate", "--kind", "closed-form", "--n", "5", "--dim", "8"], 2, "--dim"),
+        (["simulate", "--kind", "gd-linear", "--n", "8", "--dim", "8"], 2, "--n"),
     ])
     def test_bad_user_value_exits_2_naming_it(self, dataset_dir, tmp_path, capsys,
                                               argv, code, named):
@@ -384,7 +389,7 @@ class TestExitCodes:
         (errors.ConfigError, 2),
         (errors.ParseError, 3), (errors.MissingFile, 3), (errors.ShapeMismatch, 3),
         (errors.EmptyGraph, 3), (errors.EmptyMask, 3), (errors.InputNotWhitened, 3),
-        (errors.Divergence, 4), (errors.NoConvergence, 4), (errors.NotSymmetric, 4),
+        (errors.Divergence, 4), (errors.NotSymmetric, 4),
         (errors.UnstableStepSize, 4),
     ])
     def test_error_type_carries_its_exit_code(self, tmp_path, capsys, monkeypatch,

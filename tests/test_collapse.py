@@ -16,7 +16,7 @@ from orthoreg.collapse import (
     whiten,
     write_dynamics_csv,
 )
-from orthoreg.errors import InputNotWhitened, ShapeMismatch, UnstableStepSize
+from orthoreg.errors import Divergence, InputNotWhitened, ShapeMismatch, UnstableStepSize
 from orthoreg.graphio import NormalizedOperator, graph_from_edges, normalize
 from orthoreg.synth import ring_graph, sbm_graph
 from orthoreg.tensor import EigenReport, covariance, nesum, singular_values, sym_eigvals
@@ -87,6 +87,13 @@ class TestClosedFormTrajectory:
             np.testing.assert_allclose(
                 run.snapshots[k].singular_values, expected, rtol=1e-10
             )
+
+    # e^400 squares past the float64 range; e^800 is past it already
+    @pytest.mark.parametrize("rate", [400.0, 800.0])
+    def test_overflowing_flow_raises_divergence(self, rate):
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(Divergence, match="snapshot 1"):
+            closed_form_trajectory(np.diag([rate, 0.0]), np.eye(2), [0.0, 1.0])
 
     def test_rejects_bad_times(self, rng):
         p = np.eye(3)

@@ -1,5 +1,6 @@
 import json
 import os
+from types import SimpleNamespace
 
 import dataclasses
 
@@ -504,6 +505,24 @@ class TestTuner:
         assert len(result["table"]) == 4
         assert result["best"] in result["table"]
         assert result["best"]["val_acc"] == max(c["val_acc"] for c in result["table"])
+
+    def test_every_cell_keeps_the_base_spec(self, synthetic_problem, monkeypatch):
+        graph, data = synthetic_problem
+        base = TrainConfig(regularizer=RegularizerSpec(
+            kind="orthoreg", alpha=0.1, beta=1e-4, hops=3,
+            pooling="second_hop_only", center_correlation=False))
+        specs = []
+
+        def recording(cfg, graph, data):
+            specs.append(cfg.regularizer)
+            return None, SimpleNamespace(best_val_acc=0.5, best_test_acc=0.5)
+
+        monkeypatch.setattr(experiments, "train", recording)
+        result = tune_coarse_grid(graph, data, base_config=base)
+        assert len(specs) == len(result["table"]) == 12
+        for spec, cell in zip(specs, result["table"]):
+            assert spec == dataclasses.replace(base.regularizer, alpha=cell["alpha"],
+                                               beta=cell["beta"])
 
 
 class TestInferenceBenchmark:

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
+from jacobi_oracle import jacobi_eigh
 from orthoreg.errors import NotSymmetric, ShapeMismatch
 from orthoreg.graphio import NormalizedOperator
 from orthoreg.tensor import (
@@ -10,12 +13,11 @@ from orthoreg.tensor import (
     covariance,
     eigen_report,
     expm_sym,
-    jacobi_eigh,
     nesum,
     singular_values,
     spmm,
+    sym_eig,
     sym_eigvals,
-    JACOBI_DISPATCH_MAX_N,
 )
 
 
@@ -135,30 +137,105 @@ class TestSymEigvals:
         with pytest.raises(NotSymmetric):
             sym_eigvals(rng.standard_normal((3, 4)))
 
-    def test_jacobi_agrees_with_lapack_route(self, rng):
-        # dual-route consistency right below the dispatch cutoff
-        n = 120
-        assert n <= JACOBI_DISPATCH_MAX_N
-        m = rng.standard_normal((n, n))
-        m = (m + m.T) / 2
-        ours = jacobi_eigh(m, want_vectors=False)[0]
-        ref = np.linalg.eigvalsh(m)[::-1]
-        np.testing.assert_allclose(ours, ref, atol=1e-11 * np.linalg.norm(m))
 
-    def test_dispatch_above_cutoff_keeps_contract(self, rng):
-        n = JACOBI_DISPATCH_MAX_N + 20
-        m = rng.standard_normal((n, n))
-        m = (m + m.T) / 2
-        vals = sym_eigvals(m)
-        assert np.all(np.diff(vals) <= 1e-12)
-        assert abs(vals.sum() - np.trace(m)) < 1e-9 * np.linalg.norm(m)
+def _random_symmetric(n: int, seed: int) -> np.ndarray:
+    m = np.random.default_rng(seed).standard_normal((n, n))
+    return (m + m.T) / 2
 
-    def test_jacobi_eigenvectors_reconstruct(self, rng):
-        m = rng.standard_normal((12, 12))
-        m = (m + m.T) / 2
-        vals, vecs = jacobi_eigh(m)
-        np.testing.assert_allclose((vecs * vals) @ vecs.T, m, atol=1e-10)
-        np.testing.assert_allclose(vecs.T @ vecs, np.eye(12), atol=1e-12)
+
+def _orthogonal(n: int, seed: int) -> np.ndarray:
+    q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, n)))
+    return q
+
+
+SYMMETRIC_CASES = {
+    "n1": lambda: np.array([[-2.5]]),
+    "zero": lambda: np.zeros((5, 5)),
+    "repeated": lambda: (_orthogonal(6, 3) * [3.0, 3.0, 3.0, 1.0, 1.0, -2.0])
+    @ _orthogonal(6, 3).T,
+    "n120": lambda: _random_symmetric(120, 4),
+    "n150": lambda: _random_symmetric(150, 5),
+}
+
+SINGULAR_CASES = {
+    "square": lambda: np.random.default_rng(6).standard_normal((16, 16)),
+    # condition 1e9: sqrt(eig(W^T W)) loses the smallest values entirely
+    "ill_conditioned": lambda: (_orthogonal(16, 7) * np.logspace(0.0, -9.0, 16))
+    @ _orthogonal(16, 8).T,
+    "tall": lambda: np.random.default_rng(9).standard_normal((30, 5)),
+    "wide": lambda: np.random.default_rng(10).standard_normal((4, 6)),
+    "zero": lambda: np.zeros((3, 3)),
+}
+
+
+def _oracle_singular_values(w: np.ndarray) -> np.ndarray:
+    """Singular values from the Jacobi eigenvalues of [[0, W], [W^T, 0]]
+    (which are +-sigma_i and zeros), one per column of W."""
+    rows, cols = w.shape
+    aug = np.block([[np.zeros((rows, rows)), w], [w.T, np.zeros((cols, cols))]])
+    vals, _ = jacobi_eigh(aug)
+    k = min(rows, cols)
+    return np.concatenate([np.clip(vals[:k], 0.0, None), np.zeros(cols - k)])
+
+
+def _eigenspace_projectors(vals, vecs, tol):
+    """Orthogonal projector onto each eigenspace, eigenvalues within tol
+    of their neighbour grouped together (repeated eigenvalues leave the
+    basis free, the projector is not)."""
+    cuts = np.flatnonzero(np.abs(np.diff(vals)) > tol) + 1
+    return [vecs[:, g] @ vecs[:, g].T for g in np.split(np.arange(vals.size), cuts)]
+
+
+def _check_against_oracle(m):
+    fro = float(np.linalg.norm(m))
+    ref_vals, ref_vecs = jacobi_eigh(m)
+    vals = sym_eigvals(m)
+    np.testing.assert_allclose(vals, ref_vals, atol=1e-11 * fro)
+    assert np.all(np.diff(vals) <= 1e-12 * max(1.0, fro))
+    eig_vals, vecs = sym_eig(m)
+    np.testing.assert_allclose(eig_vals, ref_vals, atol=1e-11 * fro)
+    assert np.all(np.diff(eig_vals) <= 1e-12 * max(1.0, fro))
+    np.testing.assert_allclose((vecs * eig_vals) @ vecs.T, m, atol=1e-10 * max(1.0, fro))
+    np.testing.assert_allclose(vecs.T @ vecs, np.eye(m.shape[0]), atol=1e-12)
+    return ref_vals, ref_vecs, eig_vals, vecs
+
+
+class TestAgainstJacobiOracle:
+    @pytest.mark.parametrize("case", list(SYMMETRIC_CASES))
+    def test_sym_eig_matches_oracle(self, case):
+        m = SYMMETRIC_CASES[case]()
+        ref_vals, ref_vecs, vals, vecs = _check_against_oracle(m)
+        tol = 1e-8 * max(1.0, float(np.linalg.norm(m)))
+        ours = _eigenspace_projectors(vals, vecs, tol)
+        ref = _eigenspace_projectors(ref_vals, ref_vecs, tol)
+        assert len(ours) == len(ref)
+        for a, b in zip(ours, ref):
+            np.testing.assert_allclose(a, b, atol=1e-8)
+
+    @pytest.mark.parametrize("case", list(SINGULAR_CASES))
+    def test_singular_values_match_oracle(self, case):
+        w = SINGULAR_CASES[case]()
+        ref = _oracle_singular_values(w)
+        got = singular_values(w)
+        assert got.shape == (w.shape[1],)
+        np.testing.assert_allclose(got, ref, atol=1e-11 * max(1.0, float(ref[0])))
+        assert np.all(np.diff(got) <= 0.0)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        a=st.integers(1, 10).flatmap(
+            lambda n: hnp.arrays(np.int64, (n, n), elements=st.integers(-1000, 1000))),
+        scale=st.integers(-20, 20),
+    )
+    def test_random_symmetric_matches_oracle(self, a, scale):
+        # small integers scaled by a power of two: exact, repeated
+        # eigenvalues and zero rows occur, magnitudes span 2^-20..2^31
+        m = np.ldexp((a + a.T).astype(np.float64), scale)
+        _check_against_oracle(m)
+        w = m[:, : max(1, m.shape[1] // 2)]
+        ref = _oracle_singular_values(w)
+        np.testing.assert_allclose(singular_values(w), ref,
+                                   atol=1e-11 * max(1.0, float(ref[0])))
 
 
 class TestSingularValues:
