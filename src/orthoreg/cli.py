@@ -4,8 +4,8 @@ Subcommands: ``ingest`` (build a canonical dataset directory), ``train``
 (one training configuration, writing metrics.jsonl / spectrum.csv /
 report.json / checkpoint.npz), ``simulate`` (collapse-dynamics runs,
 writing dynamics.csv and verdict.json), ``suite`` (the consolidated
-experiment suites: table1, table3, coldstart, robustness, bench), and
-``bench`` (the inference benchmark alone).
+experiment suites: table1, table3, coldstart, robustness), and ``bench``
+(the inference benchmark, MLP against graph-convolution forward).
 
 Configuration comes from an optional flat ``key = value`` file plus flags;
 flags override the file, and a setting given by neither takes its
@@ -225,6 +225,25 @@ def _make_graph(args):
     raise ConfigError(f"unknown graph kind: {kind!r}")
 
 
+# The weight-matrix runs judge ratio monotonicity only on snapshots whose
+# sigma_min / sigma_max is at least this. Gradient descent shrinks W by 80+
+# orders of magnitude over the default run, and below about eps * sigma_max
+# the small singular values are rounding noise whose ratios jitter; 1e-8
+# (about sqrt(eps)) keeps half the digits. dynamics.csv keeps every snapshot.
+RATIO_FLOOR = 1e-8
+
+
+def _weight_run_verdict(run, eigs) -> collapse.CollapseVerdict:
+    """verify_ratio_monotonicity over the snapshots above RATIO_FLOOR, split
+    at the largest gap of P's eigenvalues."""
+    resolved = [s for s in run.snapshots
+                if s.singular_values[-1] >= RATIO_FLOOR * s.singular_values[0]]
+    return collapse.verify_ratio_monotonicity(
+        collapse.DynamicsRun(trajectory_kind=run.trajectory_kind, snapshots=resolved),
+        collapse.largest_gap_split(eigs),
+    )
+
+
 def cmd_simulate(args) -> int:
     out_dir = args.out or "runs/simulate"
     seed, steps = args.seed, args.steps
@@ -245,9 +264,12 @@ def cmd_simulate(args) -> int:
         p = collapse.build_p(x, lap)
         eigs = sym_eigvals(p)
         spread = max(float(eigs[0] - eigs[-1]), 1e-9)
-        times = np.linspace(0.0, 12.0 / spread, 50)
-        run = collapse.closed_form_trajectory(p, np.eye(args.dim), times, sign=args.sign)
-        verdict = collapse.verify_ratio_monotonicity(run, collapse.largest_gap_split(eigs))
+        # exp(P t) grows like e^(lambda_max t): past t = 50 / lambda_max the
+        # squared singular values can overflow (a star graph's P does)
+        t_max = min(12.0 / spread, 50.0 / max(float(eigs[0]), 1e-9))
+        run = collapse.closed_form_trajectory(p, np.eye(args.dim), np.linspace(0.0, t_max, 50),
+                                              sign=args.sign)
+        verdict = _weight_run_verdict(run, eigs)
     elif args.kind == "gd-linear":
         lap = normalize(graph, "laplacian")
         x = collapse.whiten(rng.standard_normal((graph.n_nodes, args.dim)))
@@ -257,13 +279,12 @@ def cmd_simulate(args) -> int:
         run = collapse.gd_linear_trajectory(
             x, lap, np.eye(args.dim), eta, steps, snapshot_every=max(1, steps // 50)
         )
-        verdict = collapse.verify_ratio_monotonicity(run, collapse.largest_gap_split(eigs))
+        verdict = _weight_run_verdict(run, eigs)
     elif args.kind == "feature-update":
-        tau = args.tau if args.tau is not None else 0.5
         a_sym = normalize(graph, "sym")
         h0 = rng.standard_normal((graph.n_nodes, args.dim))
         run = collapse.feature_space_trajectory(
-            h0, a_sym, tau, steps, snapshot_every=max(1, steps // 50)
+            h0, a_sym, args.tau, steps, snapshot_every=max(1, steps // 50)
         )
         first, last = run.snapshots[0].eigen_report, run.snapshots[-1].eigen_report
         verdict = collapse.CollapseVerdict(
@@ -273,11 +294,8 @@ def cmd_simulate(args) -> int:
             details=[{"initial_nesum": first.nesum, "final_nesum": last.nesum}],
         )
     elif args.kind == "free-embedding":
-        alpha = args.alpha if args.alpha is not None else 1e-2
-        beta = args.beta if args.beta is not None else 1e-5
-        lr = args.lr if args.lr is not None else 200.0
         h, history = collapse.free_embedding_optimize(
-            graph, graph.n_nodes, args.dim, alpha, beta, steps, lr, seed=seed
+            graph, graph.n_nodes, args.dim, args.alpha, args.beta, steps, args.lr, seed=seed
         )
         final = history[-1]
         verdict = collapse.CollapseVerdict(
@@ -309,7 +327,7 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-SUITES = ("table1", "table3", "coldstart", "robustness", "bench")
+SUITES = ("table1", "table3", "coldstart", "robustness")
 
 
 def cmd_suite(args) -> int:
@@ -317,8 +335,6 @@ def cmd_suite(args) -> int:
         raise ConfigError(
             f"unknown suite '{args.name}'; valid suites: {', '.join(SUITES)}"
         )
-    if args.name == "bench":
-        return cmd_bench(args)
     out_dir = args.out or f"runs/suite-{args.name}"
     merged = {**_merge_config(args, {}), "out": out_dir}
 
@@ -367,9 +383,8 @@ def cmd_bench(args) -> int:
     out_dir = args.out or "runs/suite-bench"
     graph, data = _load(args.dataset)
     depths = _flag_values(args.depths, int, "--depths")
-    seed = args.seed if args.seed is not None else TrainConfig.seed
     rows = [[f"depth={r['depth']}", r["mlp_s"], r["gcn_s"], r["gcn_over_mlp"]]
-            for r in experiments.inference_benchmark(graph, data, depths=depths, seed=seed)]
+            for r in experiments.inference_benchmark(graph, data, depths=depths, seed=args.seed)]
     _write_suite_outputs(out_dir, "bench", rows, ["row", "mlp_s", "gcn_s", "gcn_over_mlp"])
     _write_resolved(out_dir, {"dataset": args.dataset, "out": out_dir})
     print(json.dumps({"suite": "bench", "out": out_dir}))
@@ -428,11 +443,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--n", type=int, default=40)
     p_sim.add_argument("--dim", type=int, default=8)
     p_sim.add_argument("--steps", type=int, default=200)
-    p_sim.add_argument("--tau", type=float)
+    p_sim.add_argument("--tau", type=float, default=0.5)
     p_sim.add_argument("--sign", type=int, choices=[1, -1], default=1)
-    p_sim.add_argument("--alpha", type=float)
-    p_sim.add_argument("--beta", type=float)
-    p_sim.add_argument("--lr", type=float)
+    p_sim.add_argument("--alpha", type=float, default=1e-2)
+    p_sim.add_argument("--beta", type=float, default=1e-5)
+    p_sim.add_argument("--lr", type=float, default=200.0)
     p_sim.add_argument("--seed", type=_seed, default=0)
     p_sim.add_argument("--out")
     p_sim.set_defaults(func=cmd_simulate)
@@ -449,15 +464,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_suite.add_argument("--seed", type=_seed)
     p_suite.add_argument("--trials", type=int)
     p_suite.add_argument("--ratios", default="0,0.2,0.4", help="comma-separated mask ratios")
-    p_suite.add_argument("--depths", default="2,3,4", help="comma-separated depths for bench")
     p_suite.set_defaults(func=cmd_suite)
 
     p_bench = sub.add_parser("bench", help="inference benchmark")
     p_bench.add_argument("--dataset")
     p_bench.add_argument("--out")
-    p_bench.add_argument("--depths", default="2,3,4")
-    p_bench.add_argument("--seed", type=_seed)
-    p_bench.add_argument("--trials", type=int)
+    p_bench.add_argument("--depths", default="2,3,4", help="comma-separated network depths")
+    p_bench.add_argument("--seed", type=_seed, default=TrainConfig.seed)
     p_bench.set_defaults(func=cmd_bench)
 
     return parser

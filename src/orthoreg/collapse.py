@@ -46,6 +46,7 @@ from .tensor import (
 )
 
 WHITEN_TOL = 1e-6
+SPECTRUM_IDENTITY_TOL = 1e-8
 _TINY = 1e-300
 
 
@@ -237,22 +238,17 @@ def whiten(x) -> np.ndarray:
     return centered @ (vecs / np.sqrt(vals)) @ vecs.T
 
 
-def verify_spectrum_identity(
-    x,
-    run: DynamicsRun,
-    tol: float = 1e-8,
-    whiten_tol: float = WHITEN_TOL,
-    d_split: int | None = None,
-) -> CollapseVerdict:
-    """With whitened inputs, the embedding covariance eigenvalues must equal
-    the squared weight singular values at every snapshot (checked relative
-    to the leading eigenvalue), after which the ratio monotonicity check
-    runs on the eigenvalue sequence itself."""
+def verify_spectrum_identity(x, run: DynamicsRun) -> CollapseVerdict:
+    """With whitened inputs (covariance within WHITEN_TOL of the identity),
+    the embedding covariance eigenvalues must equal the squared weight
+    singular values at every snapshot (within SPECTRUM_IDENTITY_TOL of the
+    leading eigenvalue), after which the ratio monotonicity check runs on
+    the eigenvalue sequence itself, split at its steepest final drop."""
     x = as_matrix(x, "x")
     cov = covariance(x)
-    if float(np.abs(cov - np.eye(cov.shape[0])).max()) > whiten_tol:
+    if float(np.abs(cov - np.eye(cov.shape[0])).max()) > WHITEN_TOL:
         raise InputNotWhitened(
-            f"input covariance deviates from identity by more than {whiten_tol:g}"
+            f"input covariance deviates from identity by more than {WHITEN_TOL:g}"
         )
     lam_rows = []
     max_err = 0.0
@@ -264,16 +260,15 @@ def verify_spectrum_identity(
         scale = max(float(lam[0]), 1e-12)
         max_err = max(max_err, float(np.abs(lam - sigma_sq).max()) / scale)
         lam_rows.append(lam)
-    if max_err > tol:
+    if max_err > SPECTRUM_IDENTITY_TOL:
         raise ShapeMismatch(
             f"covariance spectrum disagrees with squared singular values: "
-            f"max relative error {max_err:.3e} > {tol:g}"
+            f"max relative error {max_err:.3e} > {SPECTRUM_IDENTITY_TOL:g}"
         )
     final = lam_rows[-1]
-    if d_split is None:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            drop = final[1:] / np.clip(final[:-1], _TINY, None)
-        d_split = int(np.argmin(drop)) + 1 if final.size > 1 else 1
+    with np.errstate(divide="ignore", invalid="ignore"):
+        drop = final[1:] / np.clip(final[:-1], _TINY, None)
+    d_split = int(np.argmin(drop)) + 1 if final.size > 1 else 1
     pseudo = DynamicsRun(
         trajectory_kind=run.trajectory_kind,
         snapshots=[
@@ -286,7 +281,7 @@ def verify_spectrum_identity(
             for k, s in enumerate(run.snapshots)
         ],
     )
-    verdict = verify_ratio_monotonicity(pseudo, d_split, tol=max(tol, 1e-9))
+    verdict = verify_ratio_monotonicity(pseudo, d_split, tol=SPECTRUM_IDENTITY_TOL)
     verdict.details.append({"lambda_sigma_sq_max_rel_err": max_err})
     return verdict
 

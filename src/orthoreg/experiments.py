@@ -361,7 +361,6 @@ def robustness_sweep(
     graph: SparseGraph,
     data: Dataset,
     ratios,
-    gcn_kwargs: dict | None = None,
 ) -> list:
     """Per masking ratio, train the configured model and the
     graph-convolution comparator on independently masked copies of the
@@ -374,10 +373,8 @@ def robustness_sweep(
     for ratio in ratios:
         masker = lambda trial, r=ratio: mask_edges(graph, r, seed=config.seed + trial)
         model_report = run_trials(config, graph, data, graph_per_trial=masker)
-        gcn_report = gcn_comparator(
-            graph, data, seed=config.seed, trials=config.trials, graph_per_trial=masker,
-            **(gcn_kwargs or {}),
-        )
+        gcn_report = gcn_comparator(graph, data, seed=config.seed, trials=config.trials,
+                                    graph_per_trial=masker)
         out.append({"ratio": float(ratio), "model": model_report, "gcn": gcn_report})
     return out
 
@@ -442,32 +439,29 @@ def _renormalized_operator(graph: SparseGraph):
     return normalize(add_self_loops(graph), "sym")
 
 
+# The comparators' fixed training settings; each comparator run takes its
+# seed and trial count from the caller and its layer dims from the data.
+SGC_CONFIG = TrainConfig(lr=0.1, dropout_p=0.0, weight_decay=5e-6, epochs=150)
+GCN_CONFIG = TrainConfig(lr=0.01, dropout_p=0.5, weight_decay=5e-4, epochs=200, hidden=64,
+                         early_stop_patience=100)
+
+
 def sgc_comparator(
     graph: SparseGraph,
     data: Dataset,
     k: int = 2,
-    lr: float = 0.1,
-    epochs: int = 150,
-    weight_decay: float = 5e-6,
     seed: int = 0,
     trials: int = 10,
 ) -> RunReport:
-    """k-step propagated features + a single linear layer."""
+    """k-step propagated features + a single linear layer, trained with
+    SGC_CONFIG."""
     if k < 0:
         raise ShapeMismatch("propagation depth k must be >= 0")
     op = _renormalized_operator(graph)
     feats = data.features
     for _ in range(k):
         feats = spmm(op, feats)
-    config = TrainConfig(
-        lr=lr,
-        dropout_p=0.0,
-        weight_decay=weight_decay,
-        epochs=epochs,
-        dims=[data.n_features, data.n_classes],
-        seed=seed,
-        trials=trials,
-    )
+    config = replace(SGC_CONFIG, dims=[data.n_features, data.n_classes], seed=seed, trials=trials)
     report = run_trials(config, graph, replace(data, features=feats))
     report.extras["k"] = k
     return report
@@ -547,21 +541,14 @@ class GraphConvolution:
 def gcn_comparator(
     graph: SparseGraph,
     data: Dataset,
-    hidden: int = 64,
-    lr: float = 0.01,
-    dropout_p: float = 0.5,
-    weight_decay: float = 5e-4,
-    epochs: int = 200,
-    patience: int = 100,
     seed: int = 0,
     trials: int = 10,
     graph_per_trial=None,
 ) -> RunReport:
-    """Two-layer graph convolution, trained full batch by run_trials()."""
-    config = TrainConfig(lr=lr, dropout_p=dropout_p, weight_decay=weight_decay,
-                         epochs=epochs, hidden=hidden, early_stop_patience=patience,
-                         dims=[data.n_features, hidden, data.n_classes],
-                         seed=seed, trials=trials)
+    """Two-layer graph convolution with GCN_CONFIG's settings, trained full
+    batch by run_trials()."""
+    config = replace(GCN_CONFIG, dims=[data.n_features, GCN_CONFIG.hidden, data.n_classes],
+                     seed=seed, trials=trials)
     return run_trials(config, graph, data, graph_per_trial=graph_per_trial,
                       network=GraphConvolution)
 

@@ -33,13 +33,16 @@ LAPLACIAN_KIND = "laplacian"
 
 @dataclass(frozen=True)
 class SparseGraph:
-    """Undirected adjacency in canonical CSR plus structural degrees."""
+    """Undirected, unweighted adjacency in canonical CSR."""
 
     n_nodes: int
     row_offsets: np.ndarray
     col_indices: np.ndarray
-    values: np.ndarray
-    degrees: np.ndarray
+
+    @property
+    def degrees(self) -> np.ndarray:
+        """Structural degree of each node (its row length), as floats."""
+        return np.diff(self.row_offsets).astype(np.float64)
 
     @property
     def n_arcs(self) -> int:
@@ -53,7 +56,7 @@ class SparseGraph:
 
     def to_scipy(self) -> sp.csr_matrix:
         return sp.csr_matrix(
-            (self.values, self.col_indices, self.row_offsets),
+            (np.ones(self.n_arcs), self.col_indices, self.row_offsets),
             shape=(self.n_nodes, self.n_nodes),
         )
 
@@ -79,9 +82,24 @@ def text_lines(path, error=ParseError) -> list:
         raise error(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
 
-def build_graph(n_nodes: int, src, dst, check_symmetry: bool = True) -> SparseGraph:
-    """Canonical CSR from arc endpoint arrays: deduplicates, drops
-    self-loops, and (by default) verifies the adjacency is symmetric."""
+def _csr_graph(n_nodes: int, src, dst) -> SparseGraph:
+    """The graph whose arcs are the (src, dst) pairs, deduplicated and with
+    sorted column indices."""
+    adj = sp.coo_matrix(
+        (np.ones(src.size), (src, dst)), shape=(n_nodes, n_nodes)
+    ).tocsr()
+    adj.sum_duplicates()
+    adj.sort_indices()
+    return SparseGraph(
+        n_nodes=n_nodes,
+        row_offsets=adj.indptr.astype(np.int64),
+        col_indices=adj.indices.astype(np.int64),
+    )
+
+
+def build_graph(n_nodes: int, src, dst) -> SparseGraph:
+    """Canonical CSR from arc endpoint arrays: deduplicates and drops
+    self-loops. The caller lists both arcs of every edge."""
     src = np.asarray(src, dtype=np.int64)
     dst = np.asarray(dst, dtype=np.int64)
     if src.shape != dst.shape:
@@ -97,22 +115,7 @@ def build_graph(n_nodes: int, src, dst, check_symmetry: bool = True) -> SparseGr
     if n_loops:
         log.warning("dropping %d self-loop arc(s)", n_loops)
         src, dst = src[~loops], dst[~loops]
-    adj = sp.coo_matrix(
-        (np.ones(src.size), (src, dst)), shape=(n_nodes, n_nodes)
-    ).tocsr()
-    adj.sum_duplicates()
-    adj.data[:] = 1.0
-    adj.sort_indices()
-    if check_symmetry and (adj != adj.T).nnz != 0:
-        raise ShapeMismatch("adjacency is not symmetric")
-    degrees = np.diff(adj.indptr).astype(np.float64)
-    return SparseGraph(
-        n_nodes=n_nodes,
-        row_offsets=adj.indptr.astype(np.int64),
-        col_indices=adj.indices.astype(np.int64),
-        values=adj.data.astype(np.float64),
-        degrees=degrees,
-    )
+    return _csr_graph(n_nodes, src, dst)
 
 
 def graph_from_edges(n_nodes: int, edges) -> SparseGraph:
@@ -120,7 +123,7 @@ def graph_from_edges(n_nodes: int, edges) -> SparseGraph:
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     src = np.concatenate([edges[:, 0], edges[:, 1]])
     dst = np.concatenate([edges[:, 1], edges[:, 0]])
-    return build_graph(n_nodes, src, dst, check_symmetry=False)
+    return build_graph(n_nodes, src, dst)
 
 
 _HEADER_RE = re.compile(r"n_nodes\s*=\s*(\d+)")
@@ -170,7 +173,7 @@ def load_edge_list(path, n_nodes: int | None = None, id_map: dict | None = None)
     dst = np.array(dsts + srcs, dtype=np.int64)
     if n_nodes is None:
         n_nodes = header_nodes if header_nodes is not None else int(max(src.max(), dst.max())) + 1
-    return build_graph(n_nodes, src, dst, check_symmetry=False)
+    return build_graph(n_nodes, src, dst)
 
 
 @dataclass(frozen=True)
@@ -377,7 +380,7 @@ def select_isolated(g: SparseGraph, percentile: float = 3.0):
     iso_mask[isolated] = True
     src, dst = g.arc_endpoints()
     keep = ~(iso_mask[src] | iso_mask[dst])
-    reduced = build_graph(g.n_nodes, src[keep], dst[keep], check_symmetry=False)
+    reduced = build_graph(g.n_nodes, src[keep], dst[keep])
     return isolated, reduced
 
 
@@ -403,20 +406,4 @@ def add_self_loops(g: SparseGraph) -> SparseGraph:
     comparators' renormalization."""
     src, dst = g.arc_endpoints()
     eye = np.arange(g.n_nodes)
-    adj = sp.coo_matrix(
-        (
-            np.ones(src.size + g.n_nodes),
-            (np.concatenate([src, eye]), np.concatenate([dst, eye])),
-        ),
-        shape=(g.n_nodes, g.n_nodes),
-    ).tocsr()
-    adj.sum_duplicates()
-    adj.data[:] = 1.0
-    adj.sort_indices()
-    return SparseGraph(
-        n_nodes=g.n_nodes,
-        row_offsets=adj.indptr.astype(np.int64),
-        col_indices=adj.indices.astype(np.int64),
-        values=adj.data.astype(np.float64),
-        degrees=np.diff(adj.indptr).astype(np.float64),
-    )
+    return _csr_graph(g.n_nodes, np.concatenate([src, eye]), np.concatenate([dst, eye]))

@@ -82,7 +82,7 @@ def convert_content_cites(
             continue  # citations to papers outside the content table
         src.append(id_map[a])
         dst.append(id_map[b])
-    graph = build_graph(n, np.array(src + dst), np.array(dst + src), check_symmetry=False)
+    graph = build_graph(n, np.array(src + dst), np.array(dst + src))
 
     if splits_dir is not None:
         def read_split(name):

@@ -187,6 +187,12 @@ def backward(
     )
 
 
+# Adam's moment decay rates and denominator guard
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class AdamState:
     """First/second moment buffers and step count for Adam."""
@@ -195,31 +201,24 @@ class AdamState:
     second_moment: list
     step: int = 0
     lr: float = 1e-2
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps_adam: float = 1e-8
     weight_decay: float = 0.0
 
 
-def adam_init(params: MlpParams, lr: float = 1e-2, weight_decay: float = 0.0,
-              beta1: float = 0.9, beta2: float = 0.999, eps_adam: float = 1e-8) -> AdamState:
+def adam_init(params: MlpParams, lr: float = 1e-2, weight_decay: float = 0.0) -> AdamState:
     zeros = lambda arrs: [np.zeros_like(a) for a in arrs]
     return AdamState(
         first_moment=zeros(params.layer_weights) + zeros(params.layer_biases),
         second_moment=zeros(params.layer_weights) + zeros(params.layer_biases),
         step=0,
         lr=lr,
-        beta1=beta1,
-        beta2=beta2,
-        eps_adam=eps_adam,
         weight_decay=weight_decay,
     )
 
 
 def adam_step(params: MlpParams, grads: GradientBundle, state: AdamState):
-    """Standard Adam with bias correction and decoupled weight decay
-    (applied to weights only); updates params/state in place and returns
-    them."""
+    """Standard Adam (ADAM_BETA1, ADAM_BETA2, ADAM_EPS) with bias correction
+    and decoupled weight decay (applied to weights only); updates
+    params/state in place and returns them."""
     state.step += 1
     t = state.step
     arrays = params.layer_weights + params.layer_biases
@@ -228,13 +227,13 @@ def adam_step(params: MlpParams, grads: GradientBundle, state: AdamState):
     for i, (a, g) in enumerate(zip(arrays, gradients)):
         m = state.first_moment[i]
         v = state.second_moment[i]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        m_hat = m / (1.0 - state.beta1**t)
-        v_hat = v / (1.0 - state.beta2**t)
-        update = m_hat / (np.sqrt(v_hat) + state.eps_adam)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * g * g
+        m_hat = m / (1.0 - ADAM_BETA1**t)
+        v_hat = v / (1.0 - ADAM_BETA2**t)
+        update = m_hat / (np.sqrt(v_hat) + ADAM_EPS)
         if state.weight_decay > 0.0 and i < n_w:
             update = update + state.weight_decay * a
         a -= state.lr * update

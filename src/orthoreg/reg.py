@@ -14,7 +14,7 @@ Three families are implemented:
   (decorrelated dimensions).
 
 Correlations standardize each column (subtract mean, divide by
-sqrt(variance + eps)); gradients chain exactly through that
+sqrt(variance + CORRELATION_EPS)); gradients chain exactly through that
 standardization and, for the cross term, through S's linear dependence on
 H via transposed operator products.
 """
@@ -137,13 +137,13 @@ class _Standardized:
     std: np.ndarray
 
 
-def _standardize(m: np.ndarray, eps: float, center: bool) -> _Standardized:
+def _standardize(m: np.ndarray, center: bool) -> _Standardized:
     if center:
         mean = m.mean(axis=0, keepdims=True)
     else:
         mean = np.zeros((1, m.shape[1]))
     centered = m - mean
-    std = np.sqrt(np.mean(centered * centered, axis=0, keepdims=True) + eps)
+    std = np.sqrt(np.mean(centered * centered, axis=0, keepdims=True) + CORRELATION_EPS)
     return _Standardized(z=centered / std, mean=mean, std=std)
 
 
@@ -165,7 +165,7 @@ class CrossCorrelation:
     _std_s: _Standardized = field(repr=False)
 
 
-def cross_correlation(h, s, eps: float = CORRELATION_EPS, center: bool = True) -> CrossCorrelation:
+def cross_correlation(h, s, center: bool = True) -> CrossCorrelation:
     """C = standardized(H)^T standardized(S) / N; entries are bounded by 1
     in magnitude (up to the eps guard) by Cauchy-Schwarz."""
     h = as_matrix(h, "h")
@@ -174,8 +174,8 @@ def cross_correlation(h, s, eps: float = CORRELATION_EPS, center: bool = True) -
         raise ShapeMismatch(f"shape mismatch: h {h.shape} vs s {s.shape}")
     if h.shape[0] < 2:
         raise ShapeMismatch("cross_correlation needs at least 2 rows")
-    sh = _standardize(h, eps, center)
-    ss = _standardize(s, eps, center)
+    sh = _standardize(h, center)
+    ss = _standardize(s, center)
     c = sh.z.T @ ss.z / h.shape[0]
     return CrossCorrelation(
         c=c,
@@ -184,8 +184,7 @@ def cross_correlation(h, s, eps: float = CORRELATION_EPS, center: bool = True) -
     )
 
 
-def orthoreg_loss(h, a_rw: NormalizedOperator, spec: RegularizerSpec,
-                  eps: float = CORRELATION_EPS):
+def orthoreg_loss(h, a_rw: NormalizedOperator, spec: RegularizerSpec):
     """-alpha * sum_k C_kk + beta * sum_{k != k'} C_kk'^2 on the
     cross-correlation of H with its neighborhood summary; returns the value
     and the full gradient w.r.t. H (both the direct path and the path
@@ -195,7 +194,7 @@ def orthoreg_loss(h, a_rw: NormalizedOperator, spec: RegularizerSpec,
     h = as_matrix(h, "h")
     n = h.shape[0]
     s = neighborhood_summary(h, a_rw, spec.hops, spec.pooling)
-    cc = cross_correlation(h, s, eps=eps, center=spec.center_correlation)
+    cc = cross_correlation(h, s, center=spec.center_correlation)
     c = cc.c
     diag = np.diag(c)
     off = c - np.diag(diag)
@@ -212,14 +211,14 @@ def orthoreg_loss(h, a_rw: NormalizedOperator, spec: RegularizerSpec,
     return value, grad_h
 
 
-def corr_identity_reg(h, lam: float, eps: float = CORRELATION_EPS, center: bool = True):
+def corr_identity_reg(h, lam: float, center: bool = True):
     """lam * sum_{k != k'} C_kk'^2 on the auto-correlation of H (the
     distance to the identity, since the diagonal is pinned at ~1)."""
     h = as_matrix(h, "h")
     if h.shape[0] < 2:
         raise ShapeMismatch("corr_identity_reg needs at least 2 rows")
     n = h.shape[0]
-    sh = _standardize(h, eps, center)
+    sh = _standardize(h, center)
     c = sh.z.T @ sh.z / n
     off = c - np.diag(np.diag(c))
     value = lam * float(np.sum(off * off))
@@ -230,8 +229,7 @@ def corr_identity_reg(h, lam: float, eps: float = CORRELATION_EPS, center: bool 
     return value, grad_h
 
 
-def regularizer_value_grad(h, spec: RegularizerSpec, operators: dict,
-                           eps: float = CORRELATION_EPS):
+def regularizer_value_grad(h, spec: RegularizerSpec, operators: dict):
     """Dispatch on spec.kind; ``operators`` maps kind names ('laplacian',
     'sym', 'rw') to prebuilt NormalizedOperators."""
     if spec.kind == "none":
@@ -241,7 +239,7 @@ def regularizer_value_grad(h, spec: RegularizerSpec, operators: dict,
     if spec.kind == "preg":
         return p_reg(h, operators["sym"], spec.lam)
     if spec.kind == "corr_identity":
-        return corr_identity_reg(h, spec.lam, eps=eps, center=spec.center_correlation)
+        return corr_identity_reg(h, spec.lam, center=spec.center_correlation)
     if spec.kind == "orthoreg":
-        return orthoreg_loss(h, operators["rw"], spec, eps=eps)
+        return orthoreg_loss(h, operators["rw"], spec)
     raise ConfigError(f"unknown regularizer kind: {spec.kind!r}")

@@ -68,8 +68,9 @@ def covariance(h) -> np.ndarray:
     return (sig + sig.T) / 2.0
 
 
-def correlation(h, eps: float = CORRELATION_EPS) -> np.ndarray:
-    """Column correlation matrix C[k,k'] = Sig[k,k'] / sqrt((Sig[k,k]+eps)(Sig[k',k']+eps)).
+def correlation(h) -> np.ndarray:
+    """Column correlation matrix C[k,k'] = Sig[k,k'] / sqrt((Sig[k,k]+eps)(Sig[k',k']+eps))
+    with eps = CORRELATION_EPS.
 
     The eps guard keeps constant columns finite (their row/column goes to
     ~zero instead of 0/0).
@@ -78,7 +79,7 @@ def correlation(h, eps: float = CORRELATION_EPS) -> np.ndarray:
     if h.shape[0] < 2:
         raise ShapeMismatch("correlation needs at least 2 rows")
     sig = covariance(h)
-    scale = np.sqrt(np.diag(sig) + eps)
+    scale = np.sqrt(np.diag(sig) + CORRELATION_EPS)
     return sig / np.outer(scale, scale)
 
 
@@ -121,8 +122,8 @@ def expm_sym(p, t: float) -> np.ndarray:
     return (vecs * np.exp(vals * t)) @ vecs.T
 
 
-def nesum(eigenvalues, eps: float = NESUM_EPS) -> float:
-    """Normalized eigenvalue sum: sum(lambda_i) / max(lambda_1, eps).
+def nesum(eigenvalues) -> float:
+    """Normalized eigenvalue sum: sum(lambda_i) / max(lambda_1, NESUM_EPS).
 
     Input must be non-empty and sorted non-ascending; low values flag a
     spectrum dominated by its top eigenvalue.
@@ -133,7 +134,7 @@ def nesum(eigenvalues, eps: float = NESUM_EPS) -> float:
     scale = max(1.0, float(np.abs(lam).max()))
     if np.any(np.diff(lam) > 1e-12 * scale):
         raise ShapeMismatch("eigenvalues must be sorted non-ascending")
-    return float(lam.sum() / max(lam[0], eps))
+    return float(lam.sum() / max(lam[0], NESUM_EPS))
 
 
 @dataclass(frozen=True)
@@ -150,7 +151,7 @@ class EigenReport:
         return float(lam[i - 1] / max(lam[0], NESUM_EPS))
 
 
-def eigen_report(h, epoch: int = 0, eps: float = CORRELATION_EPS) -> EigenReport:
+def eigen_report(h, epoch: int = 0) -> EigenReport:
     """Eigen report of the column correlation matrix of ``h``."""
-    lam = sym_eigvals(correlation(h, eps=eps))
+    lam = sym_eigvals(correlation(h))
     return EigenReport(epoch=int(epoch), eigenvalues=lam, nesum=nesum(lam))

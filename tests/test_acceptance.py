@@ -167,7 +167,7 @@ class TestCriterion3SpectrumIdentity:
         eigs = sym_eigvals(p)
         times = np.linspace(0.0, 10.0 / float(eigs[0] - eigs[-1]), 25)
         run = closed_form_trajectory(p, np.eye(6), times, sign=+1)
-        verdict = verify_spectrum_identity(x, run, tol=1e-8)
+        verdict = verify_spectrum_identity(x, run)
         err = verdict.details[-1]["lambda_sigma_sq_max_rel_err"]
         report(
             "criterion-3 covariance spectrum identity",

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import shutil
@@ -6,11 +7,13 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from orthoreg import cli, errors
+from orthoreg import cli, collapse, errors, synth
 from orthoreg.cli import main
 from orthoreg.experiments import TrainConfig
+from orthoreg.graphio import normalize
 from orthoreg.ingest import write_synthetic
 from orthoreg.reg import RegularizerSpec
+from orthoreg.tensor import sym_eigvals
 
 
 @pytest.fixture(scope="module")
@@ -438,6 +441,60 @@ class TestSimulate:
         assert code == 0
         assert os.path.isfile(os.path.join(out, "dynamics.csv"))
 
+    def test_closed_form_star_stays_finite(self, tmp_path, capsys):
+        out = str(tmp_path / "sim")
+        code, _, err = run_cli(capsys, "simulate", "--kind", "closed-form",
+                               "--graph", "star", "--out", out)
+        assert code == 0, err
+        with open(os.path.join(out, "dynamics.csv")) as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 50 * 8
+        for row in rows:
+            assert np.isfinite(float(row["singular_value"]))
+            assert np.isfinite(float(row["eigenvalue"]))
+        verdict = json.loads(open(os.path.join(out, "verdict.json")).read())
+        assert verdict["monotone_ratio_ok"] is True
+
+    def test_closed_form_horizon_cap_idle_on_default_sbm(self, tmp_path, capsys):
+        # the cap at 50 / lambda_max does not bind here, so the run is the
+        # uncapped flow over [0, 12 / spread], written byte for byte
+        out = str(tmp_path / "sim")
+        code, _, _ = run_cli(capsys, "simulate", "--kind", "closed-form", "--out", out)
+        assert code == 0
+        rng = np.random.default_rng(0)
+        graph, _ = synth.sbm_graph(n_nodes=40, seed=0)
+        x = collapse.whiten(rng.standard_normal((40, 8)))
+        p = collapse.build_p(x, normalize(graph, "laplacian"))
+        eigs = sym_eigvals(p)
+        times = np.linspace(0.0, 12.0 / float(eigs[0] - eigs[-1]), 50)
+        run = collapse.closed_form_trajectory(p, np.eye(8), times)
+        expected = str(tmp_path / "expected.csv")
+        collapse.write_dynamics_csv(run, expected)
+        with open(expected, "rb") as want, open(os.path.join(out, "dynamics.csv"), "rb") as got:
+            assert got.read() == want.read()
+        verdict = json.loads(open(os.path.join(out, "verdict.json")).read())
+        assert len(verdict["details"]) == 50
+
+    @pytest.mark.parametrize("graph", ["sbm", "ring", "path"])
+    def test_gd_linear_verdict_monotone_at_defaults(self, tmp_path, capsys, graph):
+        out = str(tmp_path / "sim")
+        code, _, _ = run_cli(capsys, "simulate", "--kind", "gd-linear",
+                             "--graph", graph, "--out", out)
+        assert code == 0
+        verdict = json.loads(open(os.path.join(out, "verdict.json")).read())
+        assert verdict["monotone_ratio_ok"] is True
+        # the verdict covers the snapshots above the floor; the CSV keeps all
+        assert 2 <= len(verdict["details"]) < 51
+        with open(os.path.join(out, "dynamics.csv")) as fh:
+            steps = {row["step"] for row in csv.DictReader(fh)}
+        assert len(steps) == 51
+        for detail in verdict["details"]:
+            assert detail["small_over_large"] >= cli.RATIO_FLOOR
+
+    def test_defaults_live_in_the_parser(self):
+        args = cli.build_parser().parse_args(["simulate", "--kind", "free-embedding"])
+        assert (args.tau, args.alpha, args.beta, args.lr) == (0.5, 1e-2, 1e-5, 200.0)
+
     def test_free_embedding_reaches_orthogonality(self, tmp_path, capsys):
         out = str(tmp_path / "sim")
         code, _, _ = run_cli(capsys, "simulate", "--kind", "free-embedding",
@@ -453,8 +510,18 @@ class TestSuite:
         code, _, err = run_cli(capsys, "suite", "wrong", "--dataset", dataset_dir,
                                "--out", str(tmp_path / "s"))
         assert code == 2
-        for name in ("table1", "table3", "coldstart", "robustness", "bench"):
+        for name in ("table1", "table3", "coldstart", "robustness"):
             assert name in err
+
+    def test_bench_is_only_a_command_of_its_own(self, dataset_dir, tmp_path, capsys):
+        code, _, err = run_cli(capsys, "suite", "bench", "--dataset", dataset_dir,
+                               "--out", str(tmp_path / "s"))
+        assert code == 2
+        assert "unknown suite 'bench'" in err
+        for argv in (["bench", "--trials", "3"], ["suite", "coldstart", "--depths", "2"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv + ["--dataset", dataset_dir, "--out", str(tmp_path / "s")])
+            assert exc.value.code == 2
 
     def test_table3_produces_variant_rows(self, dataset_dir, tmp_path, capsys):
         out = str(tmp_path / "s")

@@ -258,7 +258,7 @@ class TestWhitenAndSpectrumIdentity:
     def test_identity_weights_give_unit_spectrum(self, rng):
         x = whitened_features(rng, 30, 4)
         run = closed_form_trajectory(np.zeros((4, 4)), np.eye(4), [0.0, 1.0])
-        verdict = verify_spectrum_identity(x, run, tol=1e-8)
+        verdict = verify_spectrum_identity(x, run)
         assert verdict.monotone_ratio_ok
         lam = sym_eigvals(covariance(x @ run.snapshots[0].state))
         np.testing.assert_allclose(lam, 1.0, atol=1e-10)
@@ -271,7 +271,7 @@ class TestWhitenAndSpectrumIdentity:
         eigs = sym_eigvals(p)
         times = np.linspace(0.0, 8.0 / max(eigs[0] - eigs[-1], 1e-9), 20)
         run = closed_form_trajectory(p, np.eye(5), times)
-        verdict = verify_spectrum_identity(x, run, tol=1e-8)
+        verdict = verify_spectrum_identity(x, run)
         assert verdict.details[-1]["lambda_sigma_sq_max_rel_err"] < 1e-8
 
     def test_rejects_unwhitened_input(self, rng):

@@ -335,16 +335,14 @@ class TestRobustness:
     def test_zero_ratio_reproduces_transductive_run(self, synthetic_problem):
         graph, data = synthetic_problem
         cfg = small_config("orthoreg", alpha=0.05, beta=5e-5)
-        sweep = robustness_sweep(cfg, graph, data, ratios=[0.0],
-                                 gcn_kwargs=dict(hidden=16, epochs=40))
+        sweep = robustness_sweep(cfg, graph, data, ratios=[0.0])
         base = run_trials(cfg, graph, data)
         assert sweep[0]["model"].per_trial == base.per_trial
 
     def test_full_masking_still_finite(self, synthetic_problem):
         graph, data = synthetic_problem
         cfg = small_config("orthoreg", alpha=0.05, beta=5e-5)
-        sweep = robustness_sweep(dataclasses.replace(cfg, trials=1), graph, data, ratios=[1.0],
-                                 gcn_kwargs=dict(hidden=16, epochs=40))
+        sweep = robustness_sweep(dataclasses.replace(cfg, trials=1), graph, data, ratios=[1.0])
         acc = sweep[0]["model"].mean_acc
         assert np.isfinite(acc)
         assert acc >= 0.15  # above floor even with the structure gone
@@ -372,17 +370,17 @@ class TestAblation:
 class TestComparators:
     def test_sgc_zero_steps_is_plain_logistic_regression(self, synthetic_problem):
         graph, data = synthetic_problem
-        report = sgc_comparator(graph, data, k=0, epochs=60, trials=2)
+        report = sgc_comparator(graph, data, k=0, trials=2)
         cfg = TrainConfig(regularizer=RegularizerSpec(kind="none"), lr=0.1,
-                          dropout_p=0.0, weight_decay=5e-6, epochs=60,
+                          dropout_p=0.0, weight_decay=5e-6, epochs=150,
                           dims=[data.n_features, data.n_classes], seed=0, trials=2)
         direct = run_trials(cfg, graph, data)
         assert report.per_trial == direct.per_trial
 
     def test_sgc_propagation_helps_on_homophilous_graph(self, synthetic_problem):
         graph, data = synthetic_problem
-        k0 = sgc_comparator(graph, data, k=0, epochs=80, trials=2)
-        k2 = sgc_comparator(graph, data, k=2, epochs=80, trials=2)
+        k0 = sgc_comparator(graph, data, k=0, trials=2)
+        k2 = sgc_comparator(graph, data, k=2, trials=2)
         assert k2.mean_acc > k0.mean_acc + 0.1
 
     def test_gcn_gradients_match_finite_differences(self, rng):
@@ -426,12 +424,12 @@ class TestComparators:
 
     def test_gcn_beats_chance_on_easy_graph(self, synthetic_problem):
         graph, data = synthetic_problem
-        report = gcn_comparator(graph, data, hidden=16, epochs=80, trials=2)
+        report = gcn_comparator(graph, data, trials=2)
         assert report.mean_acc > 0.5
 
     @pytest.mark.parametrize("comparator", [
-        lambda g, d: gcn_comparator(g, d, hidden=8, epochs=5, trials=3),
-        lambda g, d: sgc_comparator(g, d, k=1, epochs=5, trials=3),
+        lambda g, d: gcn_comparator(g, d, trials=3),
+        lambda g, d: sgc_comparator(g, d, k=1, trials=3),
     ], ids=["gcn", "sgc"])
     def test_every_trial_trains_through_train(self, synthetic_problem, monkeypatch,
                                               comparator):
@@ -457,19 +455,20 @@ class TestComparators:
             seen.append(trial)
             return edgeless
 
-        report = gcn_comparator(graph, data, hidden=8, epochs=20, trials=2,
-                                graph_per_trial=per_trial)
+        report = gcn_comparator(graph, data, trials=2, graph_per_trial=per_trial)
         assert sorted(seen) == [0, 1]
-        direct = gcn_comparator(edgeless, data, hidden=8, epochs=20, trials=2)
+        direct = gcn_comparator(edgeless, data, trials=2)
         assert report.per_trial == direct.per_trial
-        full = gcn_comparator(graph, data, hidden=8, epochs=20, trials=2)
+        full = gcn_comparator(graph, data, trials=2)
         assert report.per_trial != full.per_trial
 
-    def test_diverging_gcn_raises_from_shared_check(self, synthetic_problem):
+    def test_diverging_gcn_raises_from_shared_check(self, synthetic_problem, monkeypatch):
         graph, data = synthetic_problem
+        monkeypatch.setattr(experiments, "GCN_CONFIG",
+                            dataclasses.replace(experiments.GCN_CONFIG, lr=1e200))
         with np.errstate(all="ignore"), \
                 pytest.raises(Divergence, match="activations became non-finite at epoch 2"):
-            gcn_comparator(graph, data, hidden=8, epochs=5, trials=1, lr=1e200)
+            gcn_comparator(graph, data, trials=1)
 
     def test_gcn_forward_checks_its_input(self, synthetic_problem):
         graph, data = synthetic_problem
@@ -484,13 +483,19 @@ class TestComparators:
     @pytest.mark.parametrize("kwargs, field", [
         (dict(lr=-1.0), "lr"), (dict(dropout_p=1.0), "dropout_p"),
         (dict(weight_decay=-1.0), "weight_decay"), (dict(hidden=0), "hidden"),
-        (dict(patience=-1), "early_stop_patience"),
+        (dict(early_stop_patience=-1), "early_stop_patience"),
     ])
-    def test_gcn_arguments_checked_like_train_config(self, synthetic_problem,
+    def test_gcn_arguments_checked_like_train_config(self, synthetic_problem, monkeypatch,
                                                      kwargs, field):
+        # TrainConfig is mutable, so a bad value can be set on GCN_CONFIG
+        # after construction; the comparator's own config still rejects it
         graph, data = synthetic_problem
+        bad = dataclasses.replace(experiments.GCN_CONFIG)
+        for name, value in kwargs.items():
+            setattr(bad, name, value)
+        monkeypatch.setattr(experiments, "GCN_CONFIG", bad)
         with pytest.raises(ConfigError, match=field):
-            gcn_comparator(graph, data, trials=1, **kwargs)
+            gcn_comparator(graph, data, trials=1)
 
 
 class TestTuner:

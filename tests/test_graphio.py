@@ -1,7 +1,10 @@
 import os
+import shutil
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from orthoreg.errors import EmptyGraph, MissingFile, ParseError, ShapeMismatch
 from orthoreg.graphio import (
@@ -331,3 +334,93 @@ class TestBenchmarkCounts:
 
         graph, data = load_dataset(require_dataset("chameleon"))
         assert homophily_ratio(graph, data.labels) == pytest.approx(0.25, abs=0.02)
+
+
+edge_lists = st.integers(2, 10).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=30)))
+
+
+def one_class_dataset(n: int) -> Dataset:
+    return Dataset(features=np.arange(2.0 * n).reshape(n, 2), labels=np.zeros(n, dtype=np.int64),
+                   n_classes=1, train_idx=np.array([0]), val_idx=np.array([1]),
+                   test_idx=np.arange(2, n))
+
+
+class TestGraphProperties:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(case=edge_lists)
+    def test_edge_list_round_trip_is_canonical_and_symmetric(self, case):
+        # duplicates, self-loops and both orientations of an edge all occur
+        n, edges = case
+        assume(any(i != j for i, j in edges))
+        g = graph_from_edges(n, edges)
+        neighbours = [set() for _ in range(n)]
+        for i, j in edges:
+            if i != j:
+                neighbours[i].add(j)
+                neighbours[j].add(i)
+        offsets, cols = g.row_offsets, g.col_indices
+        assert offsets[0] == 0 and offsets[-1] == cols.size and offsets.size == n + 1
+        for i in range(n):
+            row = cols[offsets[i]:offsets[i + 1]]
+            assert row.tolist() == sorted(neighbours[i])
+        assert g.degrees.tolist() == [float(len(nb)) for nb in neighbours]
+        adj = g.to_scipy()
+        assert (adj != adj.T).nnz == 0
+        assert np.all(adj.data == 1.0)
+
+        with tempfile.TemporaryDirectory() as tmp:
+            save_dataset(tmp, g, one_class_dataset(n))
+            g2, _ = load_dataset(tmp)
+        assert g2.n_nodes == n
+        np.testing.assert_array_equal(g2.row_offsets, offsets)
+        np.testing.assert_array_equal(g2.col_indices, cols)
+
+
+# every file load_dataset parses, with the separator between its cells
+DATASET_CELLS = {
+    "features.csv": ",", "labels.csv": None, "edges.txt": " ", "meta.txt": "=",
+    os.path.join("splits", "train.txt"): None, os.path.join("splits", "val.txt"): None,
+    os.path.join("splits", "test.txt"): None,
+}
+
+
+@pytest.fixture(scope="module")
+def small_dataset_dir(tmp_path_factory):
+    path = str(tmp_path_factory.mktemp("small") / "ds")
+    g = graph_from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)])
+    data = Dataset(features=np.random.default_rng(0).standard_normal((6, 3)),
+                   labels=np.array([0, 1, 0, 1, 0, 1]), n_classes=2,
+                   train_idx=np.array([0, 1]), val_idx=np.array([2, 3]),
+                   test_idx=np.array([4, 5]))
+    save_dataset(path, g, data)
+    return path
+
+
+class TestMalformedCells:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(name=st.sampled_from(sorted(DATASET_CELLS)), line=st.integers(0, 100),
+           cell=st.integers(0, 100),
+           token=st.from_regex(r"[a-z]{1,3}[0-9]?", fullmatch=True).filter(
+               lambda t: t not in ("nan", "inf")))
+    def test_malformed_cell_raises_parse_error_naming_file(self, small_dataset_dir, name,
+                                                           line, cell, token):
+        with tempfile.TemporaryDirectory() as tmp:
+            ds = os.path.join(tmp, "ds")
+            shutil.copytree(small_dataset_dir, ds)
+            path = os.path.join(ds, name)
+            with open(path, encoding="utf-8") as fh:
+                lines = fh.read().splitlines()
+            data_lines = [k for k, text in enumerate(lines) if not text.startswith("#")]
+            k = data_lines[line % len(data_lines)]
+            sep = DATASET_CELLS[name]
+            cells = lines[k].split(sep) if sep else [lines[k]]
+            # meta.txt's key is not a number; its value is
+            cells[len(cells) - 1 if sep == "=" else cell % len(cells)] = token
+            lines[k] = (sep or "").join(cells)
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write("\n".join(lines) + "\n")
+            with pytest.raises(ParseError) as exc:
+                load_dataset(ds)
+        assert exc.value.exit_code == 3
+        assert name in str(exc.value)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import finite_difference, rel_err
 from orthoreg.errors import ConfigError, ShapeMismatch
@@ -318,3 +319,55 @@ class TestDispatch:
         v2, g2 = laplacian_reg(h, ops["laplacian"], 0.2)
         assert v1 == v2
         np.testing.assert_array_equal(g1, g2)
+
+
+# each kind's tolerance against central differences, as in the tests above
+FD_TOLERANCE = {"laplacian": 1e-6, "preg": 1e-6, "corr_identity": 1e-5, "orthoreg": 1e-5}
+
+
+@st.composite
+def embedding_cases(draw):
+    """A graph with isolated nodes allowed, an H with N rows (N down to D)
+    whose trailing columns may be constant, and regularizer settings."""
+    n = draw(st.integers(3, 9))
+    d = draw(st.integers(1, n))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    g = graph_from_edges(n, draw(st.lists(pairs, max_size=2 * n)))
+    h = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal((n, d))
+    n_const = draw(st.integers(0, d - 1))
+    if n_const:
+        h[:, d - n_const:] = draw(st.sampled_from([0.0, 1.0, -2.5]))
+    strength = st.sampled_from([1e-3, 3e-2, 0.7])
+    settings_ = dict(lam=draw(strength), alpha=draw(strength), beta=draw(strength),
+                     hops=draw(st.integers(1, 3)),
+                     pooling=draw(st.sampled_from(["average_1toT", "second_hop_only"])))
+    return g, h, settings_
+
+
+def extrapolated_difference(f, h) -> np.ndarray:
+    """Central differences with the step-squared error term cancelled
+    (Richardson). A centered constant column has its standard deviation set
+    by the sqrt(CORRELATION_EPS) = 1e-4 guard, ten plain steps wide, where
+    the plain difference is off by about 1e-3 relative."""
+    return (4.0 * finite_difference(f, h, eps=5e-6) - finite_difference(f, h, eps=1e-5)) / 3.0
+
+
+class TestGradientProperty:
+    @pytest.mark.parametrize("kind, center", [
+        ("laplacian", True), ("preg", True), ("corr_identity", True),
+        ("corr_identity", False), ("orthoreg", True), ("orthoreg", False),
+    ])
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(case=embedding_cases())
+    def test_every_regularizer_matches_central_differences(self, kind, center, case):
+        g, h, settings_ = case
+        spec = RegularizerSpec(kind=kind, center_correlation=center, **settings_)
+        ops = {op: normalize(g, op) for op in ("laplacian", "sym", "rw")}
+        _, grad = regularizer_value_grad(h, spec, ops)
+        fd = extrapolated_difference(lambda hh: regularizer_value_grad(hh, spec, ops)[0], h)
+        if grad.any():
+            assert rel_err(grad, fd) < FD_TOLERANCE[kind]
+        else:
+            # a stationary point (corr_identity with one non-constant
+            # column) has no relative error; the differences must vanish
+            assert np.abs(fd).max() < 1e-9
