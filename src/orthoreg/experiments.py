@@ -18,7 +18,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import ConfigError, Divergence, EmptyMask, ShapeMismatch
 from .graphio import Dataset, SparseGraph, add_self_loops, mask_edges, normalize, select_isolated
@@ -36,13 +35,6 @@ from .reg import REG_STRENGTHS, RegularizerSpec, regularizer_value_grad
 from .tensor import EigenReport, as_matrix, eigen_report, spmm
 
 THREADS_ENV = "ORTHOREG_THREADS"
-
-# Training feeds features at most this dense to the first layer as CSR.
-# Measured with one BLAS thread on a 2708x1433 matrix (Cora's shape) by a
-# 256-wide layer: CSR X@W0 takes 8 ms at 1.3 % density against 50 ms
-# dense, and both products of layer 0 break even with dense at about 8-10 %
-# density; 5 % leaves a margin for column skew.
-SPARSE_INPUT_MAX_DENSITY = 0.05
 
 # per-dataset trade-off defaults (alpha, beta) for the cross-correlation
 # regularizer; overridable per run and by the coarse-grid tuner
@@ -180,30 +172,19 @@ def _build_operators(graph: SparseGraph, spec: RegularizerSpec) -> dict:
     return ops
 
 
-def _training_input(features: np.ndarray):
-    """The feature matrix the training loop feeds to layer 0: a CSR copy
-    when at most SPARSE_INPUT_MAX_DENSITY of its entries are non-zero,
-    otherwise the dense array itself. The count comes first because it
-    allocates nothing: converting a fully dense 19717x500 matrix to find
-    its count took 0.34 s and a transient four times the matrix's size."""
-    if np.count_nonzero(features) <= SPARSE_INPUT_MAX_DENSITY * features.size:
-        return sp.csr_matrix(features)
-    return features
-
-
 def train(config: TrainConfig, graph: SparseGraph, data: Dataset, network=None):
     """Full-batch training with the configured regularizer injected at the
     embedding layer. Returns (best params, history); the returned parameters
     are from the epoch with the highest validation accuracy. The network is
-    the MLP, trained on sparse features in CSR form (see
-    SPARSE_INPUT_MAX_DENSITY), unless ``network(graph, config)`` builds
+    the MLP, trained on ``data.training_input`` (sparse features in CSR
+    form), unless ``network(graph, config)`` builds
     another forward/backward pair over the same parameters (see
     GraphConvolution)."""
     dims = config.resolve_dims(data.n_features, data.n_classes)
     params = init_mlp(dims, seed=config.seed)
     if network is None:
         net_forward, net_backward = forward, backward
-        x, adam_decay = _training_input(data.features), config.weight_decay
+        x, adam_decay = data.training_input, config.weight_decay
     else:
         net = network(graph, config)
         net_forward, net_backward = net.forward, net.backward

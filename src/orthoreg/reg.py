@@ -14,9 +14,15 @@ Three families are implemented:
   (decorrelated dimensions).
 
 Correlations standardize each column (subtract mean, divide by
-sqrt(variance + CORRELATION_EPS)); gradients chain exactly through that
-standardization and, for the cross term, through S's linear dependence on
-H via transposed operator products.
+sqrt(variance + CORRELATION_EPS)), but no standardized N x D copy is
+formed: from the centered columns Hc, Sc and their scales std_h, std_s,
+C = Hc^T Sc / (N std_h std_s^T). The backward pass folds the scaling into
+the D x D matrix M = grad_c / (N std_h std_s^T), so dC/dH is
+Sc M^T - Hc * diag(C grad_c^T) / (N std_h^2): the standardization's
+mean_i(g * z) term is diag(C grad_c^T) / N, and its mean(g) term
+(centered correlations only) vanishes because Sc's columns sum to zero.
+For the cross term the gradient also chains through S's linear dependence
+on H via transposed operator products.
 """
 
 from __future__ import annotations
@@ -110,78 +116,74 @@ def neighborhood_summary(h, a_rw: NormalizedOperator, hops: int, mode: str = POO
         raise ShapeMismatch("hops must be >= 1")
     if mode == POOL_SECOND_HOP:
         return spmm(a_rw, spmm(a_rw, h))
-    acc = np.zeros_like(h)
-    power = h
-    for _ in range(hops):
+    acc = power = spmm(a_rw, h)
+    for _ in range(hops - 1):
         power = spmm(a_rw, power)
         acc += power
-    return acc / hops
+    acc /= hops
+    return acc
 
 
 def _summary_backward(grad_s, a_rw: NormalizedOperator, hops: int, mode: str):
     """Adjoint of neighborhood_summary: transposed operator powers."""
     if mode == POOL_SECOND_HOP:
         return spmm_t(a_rw, spmm_t(a_rw, grad_s))
-    acc = np.zeros_like(grad_s)
-    power = grad_s
-    for _ in range(hops):
+    acc = power = spmm_t(a_rw, grad_s)
+    for _ in range(hops - 1):
         power = spmm_t(a_rw, power)
         acc += power
-    return acc / hops
-
-
-@dataclass
-class _Standardized:
-    z: np.ndarray
-    mean: np.ndarray
-    std: np.ndarray
-
-
-def _standardize(m: np.ndarray, center: bool) -> _Standardized:
-    if center:
-        mean = m.mean(axis=0, keepdims=True)
-    else:
-        mean = np.zeros((1, m.shape[1]))
-    centered = m - mean
-    std = np.sqrt(np.mean(centered * centered, axis=0, keepdims=True) + CORRELATION_EPS)
-    return _Standardized(z=centered / std, mean=mean, std=std)
-
-
-def _standardize_backward(grad_z: np.ndarray, s: _Standardized, center: bool) -> np.ndarray:
-    """Exact gradient through z = (x - mean(x)) / sqrt(var(x) + eps),
-    column-wise: (g - mean(g) - z * mean(g .* z)) / std."""
-    if center:
-        grad_z = grad_z - grad_z.mean(axis=0, keepdims=True)
-    return (grad_z - s.z * np.mean(grad_z * s.z, axis=0, keepdims=True)) / s.std
+    acc /= hops
+    return acc
 
 
 @dataclass(frozen=True)
 class CrossCorrelation:
-    """D x D cross-correlation of two standardized matrices, with the
-    column statistics cached for the backward pass."""
+    """D x D cross-correlation of the standardized columns of two matrices,
+    with the centered columns and their scales kept for the backward pass."""
 
     c: np.ndarray
-    _std_h: _Standardized = field(repr=False)
-    _std_s: _Standardized = field(repr=False)
+    _hc: np.ndarray = field(repr=False)
+    _sc: np.ndarray = field(repr=False)
+    _std_h: np.ndarray = field(repr=False)
+    _std_s: np.ndarray = field(repr=False)
+
+    @property
+    def _swapped(self) -> CrossCorrelation:
+        """The cross-correlation of s with h: C^T, with the roles swapped."""
+        return CrossCorrelation(self.c.T, self._sc, self._hc, self._std_s, self._std_h)
+
+
+def _centered(m: np.ndarray, center: bool):
+    """The columns of ``m`` less their means (``m`` itself uncentered) and
+    their scales sqrt(mean(column^2) + CORRELATION_EPS)."""
+    mc = m - m.mean(axis=0) if center else m
+    return mc, np.sqrt(np.einsum("ij,ij->j", mc, mc) / m.shape[0] + CORRELATION_EPS)
 
 
 def cross_correlation(h, s, center: bool = True) -> CrossCorrelation:
-    """C = standardized(H)^T standardized(S) / N; entries are bounded by 1
-    in magnitude (up to the eps guard) by Cauchy-Schwarz."""
+    """C = Hc^T Sc / (N std_h std_s^T) on the centered columns; entries are
+    bounded by 1 in magnitude (up to the eps guard) by Cauchy-Schwarz."""
     h = as_matrix(h, "h")
     s = as_matrix(s, "s")
     if h.shape != s.shape:
         raise ShapeMismatch(f"shape mismatch: h {h.shape} vs s {s.shape}")
     if h.shape[0] < 2:
         raise ShapeMismatch("cross_correlation needs at least 2 rows")
-    sh = _standardize(h, center)
-    ss = _standardize(s, center)
-    c = sh.z.T @ ss.z / h.shape[0]
-    return CrossCorrelation(
-        c=c,
-        _std_h=sh,
-        _std_s=ss,
-    )
+    hc, std_h = _centered(h, center)
+    sc, std_s = (hc, std_h) if s is h else _centered(s, center)
+    c = hc.T @ sc
+    c /= h.shape[0] * np.outer(std_h, std_s)
+    return CrossCorrelation(c, hc, sc, std_h, std_s)
+
+
+def _backward(cc: CrossCorrelation, grad_c: np.ndarray) -> np.ndarray:
+    """Gradient of sum(grad_c * C) with respect to h (``cc._swapped`` and
+    grad_c^T give the one with respect to s): Sc M^T - Hc * w, where
+    M = grad_c / (N std_h std_s^T) and w = diag(C grad_c^T) / (N std_h^2)."""
+    n = cc._hc.shape[0]
+    grad_h = cc._sc @ (grad_c / (n * np.outer(cc._std_h, cc._std_s))).T
+    grad_h -= cc._hc * (np.sum(cc.c * grad_c, axis=1) / (n * cc._std_h**2))
+    return grad_h
 
 
 def orthoreg_loss(h, a_rw: NormalizedOperator, spec: RegularizerSpec):
@@ -192,7 +194,6 @@ def orthoreg_loss(h, a_rw: NormalizedOperator, spec: RegularizerSpec):
     if spec.kind != "orthoreg":
         raise ShapeMismatch(f"spec.kind must be 'orthoreg', got {spec.kind!r}")
     h = as_matrix(h, "h")
-    n = h.shape[0]
     s = neighborhood_summary(h, a_rw, spec.hops, spec.pooling)
     cc = cross_correlation(h, s, center=spec.center_correlation)
     c = cc.c
@@ -202,11 +203,8 @@ def orthoreg_loss(h, a_rw: NormalizedOperator, spec: RegularizerSpec):
 
     grad_c = 2.0 * spec.beta * off
     np.fill_diagonal(grad_c, -spec.alpha)
-    zh, zs = cc._std_h, cc._std_s
-    grad_zh = zs.z @ grad_c.T / n
-    grad_zs = zh.z @ grad_c / n
-    grad_h = _standardize_backward(grad_zh, zh, spec.center_correlation)
-    grad_s = _standardize_backward(grad_zs, zs, spec.center_correlation)
+    grad_s = _backward(cc._swapped, grad_c.T)
+    grad_h = _backward(cc, grad_c)
     grad_h += _summary_backward(grad_s, a_rw, spec.hops, spec.pooling)
     return value, grad_h
 
@@ -214,19 +212,13 @@ def orthoreg_loss(h, a_rw: NormalizedOperator, spec: RegularizerSpec):
 def corr_identity_reg(h, lam: float, center: bool = True):
     """lam * sum_{k != k'} C_kk'^2 on the auto-correlation of H (the
     distance to the identity, since the diagonal is pinned at ~1)."""
-    h = as_matrix(h, "h")
-    if h.shape[0] < 2:
-        raise ShapeMismatch("corr_identity_reg needs at least 2 rows")
-    n = h.shape[0]
-    sh = _standardize(h, center)
-    c = sh.z.T @ sh.z / n
-    off = c - np.diag(np.diag(c))
+    cc = cross_correlation(h, h, center=center)
+    off = cc.c - np.diag(np.diag(cc.c))
     value = lam * float(np.sum(off * off))
     grad_c = 2.0 * lam * off
-    # H appears on both sides of C = Z^T Z / N
-    grad_z = sh.z @ (grad_c + grad_c.T) / n
-    grad_h = _standardize_backward(grad_z, sh, center)
-    return value, grad_h
+    # H fills both slots of the symmetric C, so the two halves of the
+    # gradient add up on the D x D side, to one product with Hc
+    return value, _backward(cc, grad_c + grad_c.T)
 
 
 def regularizer_value_grad(h, spec: RegularizerSpec, operators: dict):

@@ -1,11 +1,15 @@
+import contextlib
 import csv
+import io
 import json
 import os
 import shutil
+import tempfile
 from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from orthoreg import cli, collapse, errors, synth
 from orthoreg.cli import main
@@ -550,3 +554,46 @@ class TestSuite:
         rows = open(os.path.join(out, "coldstart.csv")).read().splitlines()
         labels = [r.split(",")[0] for r in rows[1:]]
         assert labels == ["orthoreg", "mlp", "gcn"]
+
+
+VALID_CONFIG_LINES = ["epochs = 3", "hidden = 8", "lr = 0.01", "center_correlation = false",
+                      "pooling = average_1toT", "", "# a comment", "  trials = 1  # trailing"]
+TYPED_CONFIG_KEYS = sorted(key for key, parse in cli.CONFIG_KEYS.items() if parse is not str)
+# lowercase words none of int, float or the boolean parser accepts
+BAD_WORDS = st.from_regex(r"[a-z]{1,6}", fullmatch=True).filter(
+    lambda w: w not in ("nan", "inf", "true", "false", "yes", "no"))
+
+
+@st.composite
+def malformed_configs(draw):
+    """Config-file lines with one malformed line among valid ones, and that
+    line's 1-based number."""
+    before = draw(st.lists(st.sampled_from(VALID_CONFIG_LINES), max_size=6))
+    after = draw(st.lists(st.sampled_from(VALID_CONFIG_LINES), max_size=3))
+    word = draw(BAD_WORDS)
+    bad = draw(st.sampled_from([
+        word,                                        # no '='
+        f"= {word}",                                 # no key
+        f"{word}_key = 1",                           # unknown key
+        f"{draw(st.sampled_from(TYPED_CONFIG_KEYS))} = {word}",  # unparseable value
+    ]))
+    return before + [bad] + after, len(before) + 1
+
+
+class TestConfigFileProperty:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(case=malformed_configs())
+    def test_malformed_line_exits_2_naming_path_and_line(self, dataset_dir, case):
+        lines, lineno = case
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = os.path.join(tmp, "run.cfg")
+            with open(cfg, "w", encoding="utf-8") as fh:
+                fh.write("\n".join(lines) + "\n")
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(["train", "--dataset", dataset_dir, "--config", cfg,
+                             "--out", os.path.join(tmp, "o")])
+            assert not os.path.exists(os.path.join(tmp, "o"))
+        assert code == 2
+        assert f"{cfg}:{lineno}:" in err.getvalue()
+        assert out.getvalue() == ""

@@ -9,7 +9,7 @@ import pytest
 import scipy.sparse as sp
 
 from conftest import finite_difference, rel_err
-from orthoreg import experiments
+from orthoreg import experiments, graphio
 from orthoreg.errors import ConfigError, Divergence, EmptyMask, ShapeMismatch
 from orthoreg.experiments import (
     TrainConfig,
@@ -146,8 +146,11 @@ def sparse_problem(synthetic_problem, density=0.02, n_features=600, seed=0):
     return graph, dataclasses.replace(data, features=features)
 
 
-def force_dense(monkeypatch):
-    monkeypatch.setattr(experiments, "SPARSE_INPUT_MAX_DENSITY", -1.0)
+def force_dense(monkeypatch, data):
+    """A fresh copy of ``data`` whose training input is worked out with the
+    CSR threshold below every density, so it stays dense."""
+    monkeypatch.setattr(graphio, "SPARSE_INPUT_MAX_DENSITY", -1.0)
+    return dataclasses.replace(data)
 
 
 class TestSparseTraining:
@@ -157,13 +160,12 @@ class TestSparseTraining:
     def test_sparse_features_match_dense_run(self, synthetic_problem, monkeypatch,
                                              kind, reg_kwargs):
         graph, data = sparse_problem(synthetic_problem)
-        assert sp.issparse(experiments._training_input(data.features))
+        assert sp.issparse(data.training_input)
         cfg = TrainConfig(regularizer=RegularizerSpec(kind=kind, **reg_kwargs),
                           seed=0, epochs=30, hidden=16, embedding=16,
                           early_stop_patience=0, eigens_every=10)
         _, sparse_run = train(cfg, graph, data)
-        force_dense(monkeypatch)
-        _, dense_run = train(cfg, graph, data)
+        _, dense_run = train(cfg, graph, force_dense(monkeypatch, data))
         assert len(sparse_run.records) == len(dense_run.records) == 30
         for a, b in zip(sparse_run.records, dense_run.records):
             for name in ("train_loss", "sup_loss", "reg_loss"):
@@ -174,19 +176,34 @@ class TestSparseTraining:
 
     def test_dense_features_keep_dense_path(self, synthetic_problem, monkeypatch):
         graph, data = synthetic_problem
-        assert experiments._training_input(data.features) is data.features
+        assert data.training_input is data.features
         cfg = small_config("orthoreg", alpha=0.05, beta=5e-5)
         _, default_run = train(cfg, graph, data)
-        force_dense(monkeypatch)
-        _, dense_run = train(cfg, graph, data)
+        _, dense_run = train(cfg, graph, force_dense(monkeypatch, data))
         assert default_run.records == dense_run.records
 
     def test_threshold_is_inclusive(self):
         x = np.zeros((10, 10))
         x[0, :5] = 1.0  # exactly 5 % dense
-        assert sp.issparse(experiments._training_input(x))
+        assert sp.issparse(graphio._training_input(x))
         x[1, 0] = 1.0
-        assert experiments._training_input(x) is x
+        assert graphio._training_input(x) is x
+
+    def test_features_converted_once_per_dataset(self, synthetic_problem, monkeypatch):
+        graph, data = sparse_problem(synthetic_problem)
+        converted = []
+
+        def counting(features):
+            converted.append(features)
+            return sp.csr_matrix(features)
+
+        monkeypatch.setattr(graphio, "_training_input", counting)
+        cfg = dataclasses.replace(small_config("orthoreg", alpha=0.05, beta=5e-5), epochs=2)
+        _, first = train(cfg, graph, data)
+        _, second = train(cfg, graph, data)
+        run_trials(dataclasses.replace(cfg, trials=2), graph, data)
+        assert len(converted) == 1 and converted[0] is data.features
+        assert first.records == second.records
 
 
 class TestEvaluate:

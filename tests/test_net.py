@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 
 from conftest import finite_difference, rel_err
 from orthoreg.errors import EmptyMask, ShapeMismatch
@@ -360,3 +361,40 @@ class TestCheckpoint:
         np.savez(path, **blob)
         with pytest.raises(ShapeMismatch, match=message):
             load_checkpoint(path)
+
+
+@st.composite
+def input_cases(draw):
+    """A real-valued feature matrix at a drawn density whose first row and
+    first column are all zero, a 3- or 4-layer network, and dropout."""
+    n = draw(st.integers(2, 20))
+    f = draw(st.integers(2, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    density = draw(st.sampled_from([0.0, 0.02, 0.1, 0.5, 1.0]))
+    x = np.where(rng.random((n, f)) < density, rng.standard_normal((n, f)), 0.0)
+    x[0, :] = 0.0
+    x[:, 0] = 0.0
+    dims = [f] + draw(st.lists(st.integers(1, 12), min_size=2, max_size=3))
+    return x, dims, draw(st.sampled_from([0.0, 0.3])), rng
+
+
+class TestSparseDenseProperty:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(case=input_cases())
+    def test_csr_and_dense_input_agree(self, case):
+        x, dims, dropout_p, rng = case
+        params = init_mlp(dims, seed=3)
+        n = x.shape[0]
+        labels = rng.integers(0, dims[-1], size=n)
+        grad_h = rng.standard_normal((n, dims[-2]))
+        out = []
+        for inp in (x, sp.csr_matrix(x)):
+            h, logits, cache = forward(params, inp, dropout_p=dropout_p, seed=7,
+                                       train_mode=True)
+            _, grad_logits = cross_entropy(logits, labels, np.arange(n))
+            grads = backward(params, cache, grad_logits, grad_h)
+            out.append([h, logits, *grads.weight_grads, *grads.bias_grads, grads.grad_h,
+                        forward(params, inp)[1]])
+        for dense, csr in zip(*out):
+            assert isinstance(csr, np.ndarray) and csr.shape == dense.shape
+            assert np.abs(csr - dense).max() <= 1e-10 * max(np.abs(dense).max(), 1.0)

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import correlation_oracle as oracle
 from conftest import finite_difference, rel_err
+from orthoreg import reg
 from orthoreg.errors import ConfigError, ShapeMismatch
 from orthoreg.graphio import graph_from_edges, normalize
 from orthoreg.reg import (
@@ -326,11 +328,13 @@ FD_TOLERANCE = {"laplacian": 1e-6, "preg": 1e-6, "corr_identity": 1e-5, "orthore
 
 
 @st.composite
-def embedding_cases(draw):
-    """A graph with isolated nodes allowed, an H with N rows (N down to D)
-    whose trailing columns may be constant, and regularizer settings."""
+def embedding_cases(draw, wide=False):
+    """A graph with isolated nodes allowed, an H with N rows (N down to D,
+    or down to D / 2 when ``wide``) whose trailing columns may be constant,
+    and regularizer settings. N starts at 3: two centered rows standardize
+    to +-(1, -1), where every correlation saturates."""
     n = draw(st.integers(3, 9))
-    d = draw(st.integers(1, n))
+    d = draw(st.integers(1, 2 * n if wide else n))
     pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
     g = graph_from_edges(n, draw(st.lists(pairs, max_size=2 * n)))
     h = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal((n, d))
@@ -371,3 +375,58 @@ class TestGradientProperty:
             # a stationary point (corr_identity with one non-constant
             # column) has no relative error; the differences must vanish
             assert np.abs(fd).max() < 1e-9
+
+
+def oracle_gap(new, old) -> float:
+    """Largest difference, in units of the oracle's largest entry."""
+    old = np.asarray(old)
+    return float(np.abs(np.asarray(new) - old).max()) / max(float(np.abs(old).max()), 1e-300)
+
+
+def assert_matches_oracle(h, a_rw, spec):
+    """cross_correlation's C and its gradient for a random grad_c,
+    orthoreg_loss and corr_identity_reg, each within 1e-10 of the largest
+    entry of the standardized-copy route."""
+    center = spec.center_correlation
+    n, d = h.shape
+    s = neighborhood_summary(h, a_rw, spec.hops, spec.pooling)
+    np.testing.assert_allclose(s, oracle.summary(h, a_rw, spec.hops, spec.pooling),
+                               rtol=0, atol=1e-12 * max(np.abs(h).max(), 1.0))
+    cc = cross_correlation(h, s, center=center)
+    c_old, backward = oracle.cross_correlation(h, s, center)
+    assert oracle_gap(cc.c, c_old) <= 1e-10
+    grad_c = np.random.default_rng(n * d).standard_normal((d, d))
+    grad_h_old, grad_s_old = backward(grad_c)
+    assert oracle_gap(reg._backward(cc, grad_c), grad_h_old) <= 1e-10
+    assert oracle_gap(reg._backward(cc._swapped, grad_c.T), grad_s_old) <= 1e-10
+
+    value, grad = orthoreg_loss(h, a_rw, spec)
+    value_old, grad_old = oracle.orthoreg_loss(h, a_rw, spec)
+    # |C| <= 1 entrywise bounds the value's magnitude
+    assert abs(value - value_old) <= 1e-10 * (spec.alpha * d + spec.beta * d * d)
+    assert oracle_gap(grad, grad_old) <= 1e-10
+
+    value, grad = corr_identity_reg(h, spec.lam, center=center)
+    value_old, grad_old = oracle.corr_identity_reg(h, spec.lam, center)
+    assert abs(value - value_old) <= 1e-10 * spec.lam * d * d
+    assert oracle_gap(grad, grad_old) <= 1e-10
+
+
+class TestAgainstCorrelationOracle:
+    @pytest.mark.parametrize("center", [True, False])
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(case=embedding_cases(wide=True))
+    def test_moment_route_matches_standardized_copies(self, center, case):
+        g, h, settings_ = case
+        spec = RegularizerSpec(kind="orthoreg", center_correlation=center, **settings_)
+        assert_matches_oracle(h, normalize(g, "rw"), spec)
+
+    @pytest.mark.parametrize("center", [True, False])
+    def test_collapse_lab_shape(self, center):
+        # 400 nodes by a 512-wide embedding, as the collapse lab trains:
+        # C has rank at most N - 1 < D
+        g, _ = sbm_graph(400, seed=2)
+        h = np.maximum(np.random.default_rng(3).standard_normal((400, 512)), 0.0)
+        spec = RegularizerSpec(kind="orthoreg", lam=0.05, alpha=2e-3, beta=1e-6, hops=2,
+                               center_correlation=center)
+        assert_matches_oracle(h, normalize(g, "rw"), spec)
