@@ -452,45 +452,49 @@ def gcn_forward(op, weights, biases, x, dropout_p=0.0, seed=0, train_mode=False)
     """Two-or-more layer graph convolution: each layer propagates the linear
     transform through the normalized operator; ReLU between layers. As in
     net.forward only ``x`` is checked, so a numerical blow-up inside the
-    layers reaches the logits, where train() reports it as Divergence."""
+    layers reaches the logits, where train() reports it as Divergence.
+    Dropout acts on each layer's input; the cache holds those inputs and
+    the dropout scale, and gcn_backward gates each ReLU with the next
+    layer's input, as net.backward does."""
     x = as_matrix(x, "x")
     if x.shape[0] != op.n_nodes:
         raise ShapeMismatch(f"operator acts on {op.n_nodes} nodes but x has {x.shape[0]} rows")
     rng = np.random.default_rng(seed)
+    scale = 1.0 / (1.0 - dropout_p) if train_mode and dropout_p > 0.0 else None
+    inputs = []
     act = x
-    cache = []
-    n_layers = len(weights)
     for i, (w, b) in enumerate(zip(weights, biases)):
-        inp = act
-        mask = None
-        if train_mode and dropout_p > 0.0:
-            mask = (rng.random(inp.shape) >= dropout_p) / (1.0 - dropout_p)
-            inp = inp * mask
-        pre = op.matrix @ (inp @ w) + b
-        cache.append({"input": inp, "mask": mask, "pre": pre})
-        act = np.maximum(pre, 0.0) if i < n_layers - 1 else pre
-    return act, cache
+        if scale is not None:
+            act = act * (rng.random(act.shape) >= dropout_p)
+            act *= scale
+        inputs.append(act)
+        act = op.matrix @ (act @ w)
+        act += b
+        if i < len(weights) - 1:
+            np.maximum(act, 0.0, out=act)
+    return act, {"inputs": inputs, "scale": scale}
 
 
 def gcn_backward(op, weights, cache, grad_logits, weight_decay=0.0):
     """Exact gradients for gcn_forward; propagation is undone with the
-    transposed operator. The gradient with respect to the input features is
-    not formed."""
+    transposed operator. A hidden unit passed the gradient exactly when the
+    next layer's input is positive there (ReLU open and unit kept). The
+    gradient with respect to the input features is not formed."""
+    inputs, scale = cache["inputs"], cache["scale"]
     grad_ws, grad_bs = [None] * len(weights), [None] * len(weights)
     g = grad_logits
     for i in reversed(range(len(weights))):
-        layer = cache[i]
         if i < len(weights) - 1:
-            g = g * (layer["pre"] > 0.0)
+            g = g * (inputs[i + 1] > 0.0)
         back = op.matrix.T @ g
-        grad_ws[i] = layer["input"].T @ back
+        grad_ws[i] = inputs[i].T @ back
         grad_bs[i] = g.sum(axis=0)
         if weight_decay > 0.0 and i == 0:
             grad_ws[i] = grad_ws[i] + weight_decay * weights[i]
         if i > 0:
             g = back @ weights[i].T
-            if layer["mask"] is not None:
-                g = g * layer["mask"]
+            if scale is not None:
+                g *= scale
     return grad_ws, grad_bs
 
 
@@ -498,8 +502,8 @@ class GraphConvolution:
     """gcn_forward/gcn_backward as the network train() drives, over the
     renormalized operator of the graph it is built on. H is the logits.
     train() gives it the dense features, which its input dropout multiplies
-    by a dense mask. Its weight decay is an L2 term on layer 0's gradient,
-    so Adam's decoupled decay is off."""
+    by a dense boolean keep mask and the scale. Its weight decay is an L2
+    term on layer 0's gradient, so Adam's decoupled decay is off."""
 
     adam_weight_decay = 0.0
 

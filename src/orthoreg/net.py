@@ -11,6 +11,16 @@ train mode, with masks drawn deterministically from an explicit seed.
 The input may be a dense array or a scipy sparse matrix; only the first
 layer's products see it, and both formats share the same arithmetic from
 the first activation on.
+
+Each encoder layer computes its output in place on the array its product
+allocates: bias, ReLU, then the dropout keep mask and the 1 / (1 - p)
+scale. The forward cache holds only what the weight gradients read: every
+encoder layer's input, H, and the dropout scale (None without dropout).
+No pre-activation or dropout mask is kept, because a unit passed the
+gradient exactly when its output is positive (ReLU open and unit kept),
+and that output is already cached as the next layer's input or as H; the
+backward pass gates with it and then applies the scale. The gradients are
+bit-identical to gating with the pre-activation and a float mask.
 """
 
 from __future__ import annotations
@@ -91,21 +101,21 @@ def forward(
             f"input has {x.shape[1]} features, network expects {params.dims[0]}"
         )
     rng = np.random.default_rng(seed)
+    scale = 1.0 / (1.0 - dropout_p) if train_mode and dropout_p > 0.0 else None
+    inputs = []
     activation = x
-    layers = []
-    n_encoder = params.n_layers - 1
-    for i in range(n_encoder):
-        pre = activation @ params.layer_weights[i] + params.layer_biases[i]
-        post = np.maximum(pre, 0.0)
-        mask = None
-        if train_mode and dropout_p > 0.0:
-            mask = (rng.random(post.shape) >= dropout_p) / (1.0 - dropout_p)
-            post = post * mask
-        layers.append({"input": activation, "pre": pre, "mask": mask})
+    for w, b in zip(params.layer_weights[:-1], params.layer_biases[:-1]):
+        inputs.append(activation)
+        post = activation @ w
+        post += b
+        np.maximum(post, 0.0, out=post)
+        if scale is not None:
+            post *= rng.random(post.shape) >= dropout_p
+            post *= scale
         activation = post
     h = activation
     logits = h @ params.layer_weights[-1] + params.layer_biases[-1]
-    cache = {"layers": layers, "h": h, "x": x}
+    cache = {"inputs": inputs, "h": h, "scale": scale}
     return h, logits, cache
 
 
@@ -168,16 +178,18 @@ def backward(
             raise ShapeMismatch(
                 f"external_grad_h shape {external_grad_h.shape} != H shape {h.shape}"
             )
-        grad_h = grad_h + external_grad_h
+        grad_h += external_grad_h
 
+    # a unit passed the gradient exactly when its output is positive (ReLU
+    # open and, under dropout, kept); each output is the next layer's input
+    inputs, scale = cache["inputs"], cache["scale"]
+    outputs = inputs[1:] + [h]
     grad_act = grad_h
     for i in reversed(range(params.n_layers - 1)):
-        layer = cache["layers"][i]
-        g = grad_act
-        if layer["mask"] is not None:
-            g = g * layer["mask"]
-        g = g * (layer["pre"] > 0.0)
-        weight_grads[i] = layer["input"].T @ g
+        g = grad_act * (outputs[i] > 0.0)
+        if scale is not None:
+            g *= scale
+        weight_grads[i] = inputs[i].T @ g
         bias_grads[i] = g.sum(axis=0)
         if i > 0:
             grad_act = g @ params.layer_weights[i].T

@@ -21,6 +21,8 @@ the D x D matrix M = grad_c / (N std_h std_s^T), so dC/dH is
 Sc M^T - Hc * diag(C grad_c^T) / (N std_h^2): the standardization's
 mean_i(g * z) term is diag(C grad_c^T) / N, and its mean(g) term
 (centered correlations only) vanishes because Sc's columns sum to zero.
+dC/dS is Hc M - Sc * diag(C^T grad_c) / (N std_s^2), so both halves share
+M and C * grad_c: the row sums of the latter weight Hc, its column sums Sc.
 For the cross term the gradient also chains through S's linear dependence
 on H via transposed operator products.
 """
@@ -147,10 +149,11 @@ class CrossCorrelation:
     _std_h: np.ndarray = field(repr=False)
     _std_s: np.ndarray = field(repr=False)
 
-    @property
-    def _swapped(self) -> CrossCorrelation:
-        """The cross-correlation of s with h: C^T, with the roles swapped."""
-        return CrossCorrelation(self.c.T, self._sc, self._hc, self._std_s, self._std_h)
+    def _scale(self) -> np.ndarray:
+        """N std_h std_s^T, the D x D divisor of the correlation."""
+        scale = np.outer(self._std_h, self._std_s)
+        scale *= self._hc.shape[0]
+        return scale
 
 
 def _centered(m: np.ndarray, center: bool):
@@ -172,18 +175,29 @@ def cross_correlation(h, s, center: bool = True) -> CrossCorrelation:
     hc, std_h = _centered(h, center)
     sc, std_s = (hc, std_h) if s is h else _centered(s, center)
     c = hc.T @ sc
-    c /= h.shape[0] * np.outer(std_h, std_s)
-    return CrossCorrelation(c, hc, sc, std_h, std_s)
+    cc = CrossCorrelation(c, hc, sc, std_h, std_s)
+    c /= cc._scale()
+    return cc
 
 
-def _backward(cc: CrossCorrelation, grad_c: np.ndarray) -> np.ndarray:
-    """Gradient of sum(grad_c * C) with respect to h (``cc._swapped`` and
-    grad_c^T give the one with respect to s): Sc M^T - Hc * w, where
-    M = grad_c / (N std_h std_s^T) and w = diag(C grad_c^T) / (N std_h^2)."""
+def _backward(cc: CrossCorrelation, grad_c: np.ndarray):
+    """Gradients of sum(grad_c * C) with respect to h and to s:
+    Sc M^T - Hc * rowsum(C * grad_c) / (N std_h^2) and
+    Hc M - Sc * colsum(C * grad_c) / (N std_s^2), where
+    M = grad_c / (N std_h std_s^T). For an auto-correlation (s is h) only
+    the first is formed, and the s half is None: the caller folds both
+    halves into grad_c."""
     n = cc._hc.shape[0]
-    grad_h = cc._sc @ (grad_c / (n * np.outer(cc._std_h, cc._std_s))).T
-    grad_h -= cc._hc * (np.sum(cc.c * grad_c, axis=1) / (n * cc._std_h**2))
-    return grad_h
+    m = cc._scale()
+    np.divide(grad_c, m, out=m)
+    weighted = cc.c * grad_c
+    grad_h = cc._sc @ m.T
+    grad_h -= cc._hc * (weighted.sum(axis=1) / (n * cc._std_h**2))
+    if cc._sc is cc._hc:
+        return grad_h, None
+    grad_s = cc._hc @ m
+    grad_s -= cc._sc * (weighted.sum(axis=0) / (n * cc._std_s**2))
+    return grad_h, grad_s
 
 
 def orthoreg_loss(h, a_rw: NormalizedOperator, spec: RegularizerSpec):
@@ -194,8 +208,9 @@ def orthoreg_loss(h, a_rw: NormalizedOperator, spec: RegularizerSpec):
     if spec.kind != "orthoreg":
         raise ShapeMismatch(f"spec.kind must be 'orthoreg', got {spec.kind!r}")
     h = as_matrix(h, "h")
-    s = neighborhood_summary(h, a_rw, spec.hops, spec.pooling)
-    cc = cross_correlation(h, s, center=spec.center_correlation)
+    # S itself is not kept: the backward pass reads only its centered copy
+    cc = cross_correlation(h, neighborhood_summary(h, a_rw, spec.hops, spec.pooling),
+                           center=spec.center_correlation)
     c = cc.c
     diag = np.diag(c)
     off = c - np.diag(diag)
@@ -203,8 +218,7 @@ def orthoreg_loss(h, a_rw: NormalizedOperator, spec: RegularizerSpec):
 
     grad_c = 2.0 * spec.beta * off
     np.fill_diagonal(grad_c, -spec.alpha)
-    grad_s = _backward(cc._swapped, grad_c.T)
-    grad_h = _backward(cc, grad_c)
+    grad_h, grad_s = _backward(cc, grad_c)
     grad_h += _summary_backward(grad_s, a_rw, spec.hops, spec.pooling)
     return value, grad_h
 
@@ -218,7 +232,7 @@ def corr_identity_reg(h, lam: float, center: bool = True):
     grad_c = 2.0 * lam * off
     # H fills both slots of the symmetric C, so the two halves of the
     # gradient add up on the D x D side, to one product with Hc
-    return value, _backward(cc, grad_c + grad_c.T)
+    return value, _backward(cc, grad_c + grad_c.T)[0]
 
 
 def regularizer_value_grad(h, spec: RegularizerSpec, operators: dict):

@@ -108,7 +108,9 @@ class TestCriterion1GradientFidelity:
             h, logits, cache = forward(params, x)
             # central differences are meaningless across a ReLU kink; only
             # check instances whose gates sit safely away from zero
-            if min(float(np.abs(l["pre"]).min()) for l in cache["layers"]) < 1e-3:
+            pres = [inp @ w + b for inp, w, b in
+                    zip(cache["inputs"], params.layer_weights, params.layer_biases)]
+            if min(float(np.abs(pre).min()) for pre in pres) < 1e-3:
                 continue
             checked += 1
             _, grad_logits = cross_entropy(logits, labels, idx)

@@ -6,6 +6,7 @@ import os
 import shutil
 import tempfile
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -102,9 +103,9 @@ class TestTrain:
             assert os.path.isfile(os.path.join(out, name)), name
         payload = json.loads(stdout.strip().splitlines()[-1])
         assert "mean_test_acc" in payload
-        report = json.loads(open(os.path.join(out, "report.json")).read())
+        report = json.loads(Path(out, "report.json").read_text())
         assert len(report["trials"]) == 2
-        resolved = open(os.path.join(out, "config.resolved")).read()
+        resolved = Path(out, "config.resolved").read_text()
         assert "reg = orthoreg" in resolved
         assert "reg.alpha = 0.002" in resolved
 
@@ -216,7 +217,7 @@ class TestTrain:
         code, _, _ = run_cli(capsys, "train", "--dataset", dataset_dir,
                              "--config", str(cfg), "--out", out, "--epochs", "11")
         assert code == 0
-        metrics = open(os.path.join(out, "metrics.jsonl")).read().splitlines()
+        metrics = Path(out, "metrics.jsonl").read_text().splitlines()
         assert len(metrics) == 11
 
     def test_rerun_with_same_config_reproduces_report(self, dataset_dir, tmp_path, capsys):
@@ -227,13 +228,13 @@ class TestTrain:
         assert run_cli(capsys, *args, "--out", out_b)[0] == 0
 
         def stripped(path):
-            blob = json.loads(open(os.path.join(path, "report.json")).read())
+            blob = json.loads(Path(path, "report.json").read_text())
             blob.pop("wall_clock_s", None)
             return blob
 
         assert stripped(out_a) == stripped(out_b)
-        resolved_a = open(os.path.join(out_a, "config.resolved")).read()
-        resolved_b = open(os.path.join(out_b, "config.resolved")).read()
+        resolved_a = Path(out_a, "config.resolved").read_text()
+        resolved_b = Path(out_b, "config.resolved").read_text()
         assert [l for l in resolved_a.splitlines() if not l.startswith("out")] == \
                [l for l in resolved_b.splitlines() if not l.startswith("out")]
 
@@ -266,10 +267,10 @@ class TestTrain:
                              "--patience", "0", "--trials", str(trials))
         assert code == 0
         assert len(calls) == trials
-        report = json.loads(open(os.path.join(out, "report.json")).read())
+        report = json.loads(Path(out, "report.json").read_text())
         assert len(report["trials"]) == trials
         assert report["wall_clock_s"] > 0.0
-        assert len(open(os.path.join(out, "metrics.jsonl")).read().splitlines()) == 5
+        assert len(Path(out, "metrics.jsonl").read_text().splitlines()) == 5
 
 
 class TestResolution:
@@ -282,7 +283,7 @@ class TestResolution:
         assert code == 0
         assert resolved(out)["reg.alpha"] == "0.002"
         assert resolved(out)["reg.beta"] == "5e-05"
-        report = json.loads(open(os.path.join(out, "report.json")).read())
+        report = json.loads(Path(out, "report.json").read_text())
         assert report["config"]["regularizer"]["beta"] == 5e-5
 
     def test_unknown_dataset_name_falls_back(self, dataset_dir, tmp_path, capsys):
@@ -417,7 +418,7 @@ class TestSimulate:
         code, stdout, _ = run_cli(capsys, "simulate", "--kind", "closed-form",
                                   "--graph", "sbm", "--seed", "7", "--out", out)
         assert code == 0
-        verdict = json.loads(open(os.path.join(out, "verdict.json")).read())
+        verdict = json.loads(Path(out, "verdict.json").read_text())
         assert verdict["monotone_ratio_ok"] is True
         assert os.path.isfile(os.path.join(out, "dynamics.csv"))
         assert json.loads(stdout.strip())["monotone_ratio_ok"] is True
@@ -428,7 +429,7 @@ class TestSimulate:
                              "--graph", "sbm", "--tau", "0.5", "--steps", "200",
                              "--seed", "3", "--out", out)
         assert code == 0
-        verdict = json.loads(open(os.path.join(out, "verdict.json")).read())
+        verdict = json.loads(Path(out, "verdict.json").read_text())
         detail = verdict["details"][0]
         assert detail["final_nesum"] < detail["initial_nesum"]
 
@@ -456,7 +457,7 @@ class TestSimulate:
         for row in rows:
             assert np.isfinite(float(row["singular_value"]))
             assert np.isfinite(float(row["eigenvalue"]))
-        verdict = json.loads(open(os.path.join(out, "verdict.json")).read())
+        verdict = json.loads(Path(out, "verdict.json").read_text())
         assert verdict["monotone_ratio_ok"] is True
 
     def test_closed_form_horizon_cap_idle_on_default_sbm(self, tmp_path, capsys):
@@ -476,7 +477,7 @@ class TestSimulate:
         collapse.write_dynamics_csv(run, expected)
         with open(expected, "rb") as want, open(os.path.join(out, "dynamics.csv"), "rb") as got:
             assert got.read() == want.read()
-        verdict = json.loads(open(os.path.join(out, "verdict.json")).read())
+        verdict = json.loads(Path(out, "verdict.json").read_text())
         assert len(verdict["details"]) == 50
 
     @pytest.mark.parametrize("graph", ["sbm", "ring", "path"])
@@ -485,7 +486,7 @@ class TestSimulate:
         code, _, _ = run_cli(capsys, "simulate", "--kind", "gd-linear",
                              "--graph", graph, "--out", out)
         assert code == 0
-        verdict = json.loads(open(os.path.join(out, "verdict.json")).read())
+        verdict = json.loads(Path(out, "verdict.json").read_text())
         assert verdict["monotone_ratio_ok"] is True
         # the verdict covers the snapshots above the floor; the CSV keeps all
         assert 2 <= len(verdict["details"]) < 51
@@ -505,7 +506,7 @@ class TestSimulate:
                              "--graph", "ring", "--n", "8", "--dim", "2",
                              "--steps", "5000", "--out", out)
         assert code == 0
-        verdict = json.loads(open(os.path.join(out, "verdict.json")).read())
+        verdict = json.loads(Path(out, "verdict.json").read_text())
         assert verdict["monotone_ratio_ok"] is True
 
 
@@ -533,7 +534,7 @@ class TestSuite:
                              "--out", out, "--alpha", "1e-2", "--beta", "1e-5",
                              "--epochs", "20", "--trials", "1")
         assert code == 0
-        rows = open(os.path.join(out, "table3.csv")).read().splitlines()
+        rows = Path(out, "table3.csv").read_text().splitlines()
         labels = [r.split(",")[0] for r in rows[1:]]
         assert labels == ["baseline", "alpha=0", "beta=0", "T=1", "T=2", "T=3"]
 
@@ -542,7 +543,7 @@ class TestSuite:
         code, _, _ = run_cli(capsys, "bench", "--dataset", dataset_dir,
                              "--out", out, "--depths", "2,3")
         assert code == 0
-        rows = open(os.path.join(out, "bench.csv")).read().splitlines()
+        rows = Path(out, "bench.csv").read_text().splitlines()
         assert rows[0] == "row,mlp_s,gcn_s,gcn_over_mlp"
         assert len(rows) == 3
 
@@ -551,7 +552,7 @@ class TestSuite:
         code, _, _ = run_cli(capsys, "suite", "coldstart", "--dataset", dataset_dir,
                              "--out", out, "--epochs", "15", "--trials", "1")
         assert code == 0
-        rows = open(os.path.join(out, "coldstart.csv")).read().splitlines()
+        rows = Path(out, "coldstart.csv").read_text().splitlines()
         labels = [r.split(",")[0] for r in rows[1:]]
         assert labels == ["orthoreg", "mlp", "gcn"]
 

@@ -3,8 +3,11 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
+import mlp_oracle as oracle
 from conftest import finite_difference, rel_err
 from orthoreg.errors import EmptyMask, ShapeMismatch
+from orthoreg.experiments import gcn_backward, gcn_forward
+from orthoreg.graphio import normalize
 from orthoreg.net import (
     GradientBundle,
     MlpParams,
@@ -18,6 +21,7 @@ from orthoreg.net import (
     save_checkpoint,
     softmax,
 )
+from orthoreg.synth import sbm_graph
 
 
 class TestForward:
@@ -398,3 +402,57 @@ class TestSparseDenseProperty:
         for dense, csr in zip(*out):
             assert isinstance(csr, np.ndarray) and csr.shape == dense.shape
             assert np.abs(csr - dense).max() <= 1e-10 * max(np.abs(dense).max(), 1.0)
+
+
+class TestAgainstMlpOracle:
+    """In-place forward/backward against the cached pre-activation route of
+    tests/mlp_oracle.py: the same draws and the same bits."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(case=input_cases(), dropout_p=st.sampled_from([0.0, 0.3, 0.5]),
+           train_mode=st.booleans(), inject=st.booleans())
+    def test_mlp_matches_oracle_bit_for_bit(self, case, dropout_p, train_mode, inject):
+        x, dims, _, rng = case
+        params = init_mlp(dims, seed=3)
+        for b in params.layer_biases:
+            b[:] = 0.1 * rng.standard_normal(b.shape)
+        n = x.shape[0]
+        labels = rng.integers(0, dims[-1], size=n)
+        grad_h = rng.standard_normal((n, dims[-2])) if inject else None
+        for inp in (x, sp.csr_matrix(x)):
+            h, logits, cache = forward(params, inp, dropout_p=dropout_p, seed=7,
+                                       train_mode=train_mode)
+            h_old, logits_old, cache_old = oracle.forward(params, inp, dropout_p=dropout_p,
+                                                          seed=7, train_mode=train_mode)
+            assert set(cache) == {"inputs", "h", "scale"}
+            _, grad_logits = cross_entropy(logits, labels, np.arange(n))
+            grads = backward(params, cache, grad_logits, grad_h)
+            old = oracle.backward(params, cache_old, grad_logits, grad_h)
+            new = (grads.weight_grads, grads.bias_grads, grads.grad_h)
+            for a, b in zip([h, logits, *new[0], *new[1], new[2]],
+                            [h_old, logits_old, *old[0], *old[1], old[2]]):
+                assert np.array_equal(a, b)
+                assert np.array_equal(np.signbit(a), np.signbit(b))
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(case=input_cases(), dropout_p=st.sampled_from([0.0, 0.3, 0.5]),
+           train_mode=st.booleans(), weight_decay=st.sampled_from([0.0, 5e-4]))
+    def test_gcn_matches_oracle_bit_for_bit(self, case, dropout_p, train_mode, weight_decay):
+        x, dims, _, rng = case
+        g, _ = sbm_graph(x.shape[0], n_blocks=2, intra_p=0.5, inter_p=0.1,
+                         seed=int(rng.integers(0, 2**31)))
+        op = normalize(g, "sym")
+        params = init_mlp(dims, seed=3)
+        weights, biases = params.layer_weights, params.layer_biases
+        for b in biases:
+            b[:] = 0.1 * rng.standard_normal(b.shape)
+        kwargs = dict(dropout_p=dropout_p, seed=7, train_mode=train_mode)
+        logits, cache = gcn_forward(op, weights, biases, x, **kwargs)
+        logits_old, cache_old = oracle.gcn_forward(op, weights, biases, x, **kwargs)
+        assert set(cache) == {"inputs", "scale"}
+        grad_logits = rng.standard_normal(logits.shape)
+        new = gcn_backward(op, weights, cache, grad_logits, weight_decay)
+        old = oracle.gcn_backward(op, weights, cache_old, grad_logits, weight_decay)
+        for a, b in zip([logits, *new[0], *new[1]], [logits_old, *old[0], *old[1]]):
+            assert np.array_equal(a, b)
+            assert np.array_equal(np.signbit(a), np.signbit(b))
