@@ -18,6 +18,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import ConfigError, Divergence, EmptyMask, ShapeMismatch
 from .graphio import Dataset, SparseGraph, add_self_loops, mask_edges, normalize, select_isolated
@@ -154,11 +155,21 @@ def _dropout_seed(seed: int, epoch: int) -> int:
     return (seed * 1_000_003 + epoch) % (2**63)
 
 
-def _accuracy(logits: np.ndarray, labels: np.ndarray, idx: np.ndarray) -> float:
-    if idx.size == 0:
+def _accuracy(logits: np.ndarray, labels: np.ndarray) -> float:
+    """Share of rows whose argmax is their label."""
+    if labels.size == 0:
         raise EmptyMask("accuracy over an empty index set")
-    pred = np.argmax(logits[idx], axis=1)
-    return float(np.mean(pred == labels[idx]))
+    return float(np.mean(np.argmax(logits, axis=1) == labels))
+
+
+def _eval_logits(params: MlpParams, x_rows) -> np.ndarray:
+    """Logits of the eval-mode MLP forward over ``x_rows``, the rows of the
+    input that are scored. The MLP's rows are independent, so these are the
+    predictions of the full pass; the logits can differ from its rows in
+    the last bit where BLAS takes a small-matrix kernel (README). The
+    lookup goes through this module's ``forward``, the name the benchmark's
+    tracer wraps."""
+    return forward(params, x_rows, train_mode=False)[1]
 
 
 def _build_operators(graph: SparseGraph, spec: RegularizerSpec) -> dict:
@@ -179,16 +190,27 @@ def train(config: TrainConfig, graph: SparseGraph, data: Dataset, network=None):
     the MLP, trained on ``data.training_input`` (sparse features in CSR
     form), unless ``network(graph, config)`` builds
     another forward/backward pair over the same parameters (see
-    GraphConvolution)."""
+    GraphConvolution).
+
+    Each epoch's val/test accuracy comes from an eval forward of the
+    val ∪ test rows only. The full pass runs instead on an epoch with an
+    eigen report, which reads H for every row, and for every epoch of a
+    ``network``, whose propagation needs every row."""
     dims = config.resolve_dims(data.n_features, data.n_classes)
     params = init_mlp(dims, seed=config.seed)
+    scored = np.union1d(data.val_idx, data.test_idx)
     if network is None:
         net_forward, net_backward = forward, backward
         x, adam_decay = data.training_input, config.weight_decay
+        x_scored = x[scored]
     else:
         net = network(graph, config)
         net_forward, net_backward = net.forward, net.backward
         x, adam_decay = data.features, net.adam_weight_decay
+        x_scored = None
+    val_rows = np.searchsorted(scored, data.val_idx)
+    test_rows = np.searchsorted(scored, data.test_idx)
+    val_labels, test_labels = data.labels[data.val_idx], data.labels[data.test_idx]
     state = adam_init(params, lr=config.lr, weight_decay=adam_decay)
     operators = _build_operators(graph, config.regularizer)
 
@@ -214,14 +236,20 @@ def train(config: TrainConfig, graph: SparseGraph, data: Dataset, network=None):
         grads = net_backward(params, cache, grad_logits, grad_h)
         adam_step(params, grads, state)
 
-        # the eval cache is not read; held into the next epoch it would
-        # sit under that epoch's train-mode peak
-        h_eval, logits_eval = net_forward(params, x, train_mode=False)[:2]
-        val_acc = _accuracy(logits_eval, data.labels, data.val_idx)
-        test_acc = _accuracy(logits_eval, data.labels, data.test_idx)
         eig = None
-        if config.eigens_every > 0 and epoch % config.eigens_every == 0:
-            eig = eigen_report(h_eval, epoch=epoch)
+        eigen_epoch = config.eigens_every > 0 and epoch % config.eigens_every == 0
+        if x_scored is None or eigen_epoch:
+            # neither H nor the eval cache is kept: held into the next epoch
+            # they would sit under that epoch's train-mode peak
+            h_eval, logits_eval = net_forward(params, x, train_mode=False)[:2]
+            logits_eval = logits_eval[scored]
+            if eigen_epoch:
+                eig = eigen_report(h_eval, epoch=epoch)
+            del h_eval
+        else:
+            logits_eval = _eval_logits(params, x_scored)
+        val_acc = _accuracy(logits_eval[val_rows], val_labels)
+        test_acc = _accuracy(logits_eval[test_rows], test_labels)
         records.append(
             EpochRecord(
                 epoch=epoch,
@@ -252,10 +280,20 @@ def train(config: TrainConfig, graph: SparseGraph, data: Dataset, network=None):
 
 
 def evaluate(params: MlpParams, features, labels, idx) -> float:
-    """Accuracy of the eval-mode (dropout-free, graph-free) forward pass."""
+    """Accuracy on the rows ``idx`` of the eval-mode (dropout-free,
+    graph-free) forward pass, which runs over those rows only. ``features``
+    is a dense array or a scipy sparse matrix."""
+    features = features.tocsr() if sp.issparse(features) else np.asarray(features)
+    labels = np.asarray(labels)
     idx = np.asarray(idx, dtype=np.int64).ravel()
-    _, logits, _ = forward(params, features, train_mode=False)
-    return _accuracy(logits, np.asarray(labels), idx)
+    n = features.shape[0]
+    if idx.size == 0:
+        raise EmptyMask("evaluate needs a non-empty idx")
+    if idx.min() < 0 or idx.max() >= n:
+        raise ShapeMismatch(f"idx holds rows outside [0, {n}): min {idx.min()}, max {idx.max()}")
+    if labels.shape[0] != n:
+        raise ShapeMismatch(f"features have {n} rows but labels have {labels.shape[0]}")
+    return _accuracy(_eval_logits(params, features[idx]), labels[idx])
 
 
 def _max_workers() -> int:

@@ -230,25 +230,39 @@ def adam_init(params: MlpParams, lr: float = 1e-2, weight_decay: float = 0.0) ->
 def adam_step(params: MlpParams, grads: GradientBundle, state: AdamState):
     """Standard Adam (ADAM_BETA1, ADAM_BETA2, ADAM_EPS) with bias correction
     and decoupled weight decay (applied to weights only); updates
-    params/state in place and returns them."""
+    params/state in place and returns them.
+
+    Per array, the step allocates one scratch buffer and the update: every
+    other operation runs in place, in the order of the textbook formula
+    (tests/mlp_oracle.py), so the parameters and moments are bit-identical
+    to it."""
     state.step += 1
     t = state.step
+    c1, c2 = 1.0 - ADAM_BETA1**t, 1.0 - ADAM_BETA2**t
     arrays = params.layer_weights + params.layer_biases
     gradients = grads.weight_grads + grads.bias_grads
     n_w = len(params.layer_weights)
     for i, (a, g) in enumerate(zip(arrays, gradients)):
         m = state.first_moment[i]
         v = state.second_moment[i]
+        scratch = np.multiply(g, 1.0 - ADAM_BETA1)
         m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * g
+        m += scratch
+        np.multiply(g, 1.0 - ADAM_BETA2, out=scratch)
+        scratch *= g
         v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * g * g
-        m_hat = m / (1.0 - ADAM_BETA1**t)
-        v_hat = v / (1.0 - ADAM_BETA2**t)
-        update = m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        v += scratch
+        # scratch becomes the denominator sqrt(v / c2) + eps
+        np.divide(v, c2, out=scratch)
+        np.sqrt(scratch, out=scratch)
+        scratch += ADAM_EPS
+        update = m / c1
+        update /= scratch
         if state.weight_decay > 0.0 and i < n_w:
-            update = update + state.weight_decay * a
-        a -= state.lr * update
+            np.multiply(a, state.weight_decay, out=scratch)
+            update += scratch
+        update *= state.lr
+        a -= update
     return params, state
 
 

@@ -7,9 +7,14 @@ the straightforward route those results are compared against: every layer
 keeps its pre-activation and a float64 dropout mask (0 or 1 / (1 - p)),
 and the backward pass multiplies by the mask and by pre > 0. Both routes
 draw the same uniforms in the same order, so they agree bit for bit.
+
+``adam_step`` is the textbook Adam update, each term a fresh array; the
+package's in-place step runs the same operations in the same order.
 """
 
 import numpy as np
+
+from orthoreg.net import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
 
 
 def forward(params, x, dropout_p=0.0, seed=0, train_mode=False):
@@ -92,3 +97,26 @@ def gcn_backward(op, weights, cache, grad_logits, weight_decay=0.0):
             if layer["mask"] is not None:
                 g = g * layer["mask"]
     return grad_ws, grad_bs
+
+
+def adam_step(params, grads, state):
+    """One Adam step on ``params`` and the moments in ``state``, as
+    orthoreg.net.adam_step takes them."""
+    state.step += 1
+    t = state.step
+    arrays = params.layer_weights + params.layer_biases
+    gradients = grads.weight_grads + grads.bias_grads
+    n_w = len(params.layer_weights)
+    for i, (a, g) in enumerate(zip(arrays, gradients)):
+        m = state.first_moment[i]
+        v = state.second_moment[i]
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * g * g
+        m_hat = m / (1.0 - ADAM_BETA1**t)
+        v_hat = v / (1.0 - ADAM_BETA2**t)
+        update = m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        if state.weight_decay > 0.0 and i < n_w:
+            update = update + state.weight_decay * a
+        a -= state.lr * update

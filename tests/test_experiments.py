@@ -7,6 +7,7 @@ import dataclasses
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 
 from conftest import finite_difference, rel_err
 from orthoreg import experiments, graphio
@@ -32,7 +33,7 @@ from orthoreg.experiments import (
     write_spectrum_csv,
 )
 from orthoreg.graphio import mask_edges, normalize, select_isolated
-from orthoreg.net import cross_entropy, init_mlp
+from orthoreg.net import cross_entropy, forward, init_mlp
 from orthoreg.reg import RegularizerSpec
 from orthoreg.synth import sbm_graph
 
@@ -206,6 +207,105 @@ class TestSparseTraining:
         assert first.records == second.records
 
 
+def record_eval_rows(monkeypatch, attr: str, x_arg: int) -> list:
+    """Wrap ``experiments.<attr>`` and return the list it appends the row
+    count of every eval-mode call to; ``x_arg`` is the input's position."""
+    rows = []
+    original = getattr(experiments, attr)
+
+    def recording(*args, **kwargs):
+        if not kwargs.get("train_mode", False):
+            rows.append(args[x_arg].shape[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, attr, recording)
+    return rows
+
+
+def full_pass_accuracy(params, x, labels, idx) -> float:
+    pred = np.argmax(forward(params, x)[1], axis=1)
+    return float(np.mean(pred[idx] == labels[idx]))
+
+
+@st.composite
+def subset_cases(draw):
+    """A feature matrix at a drawn density, a 3- or 4-layer network with
+    non-zero biases, and a non-empty subset of its rows, down to one."""
+    n = draw(st.integers(1, 40))
+    f = draw(st.integers(1, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    density = draw(st.sampled_from([0.02, 0.1, 0.5, 1.0]))
+    x = np.where(rng.random((n, f)) < density, rng.standard_normal((n, f)), 0.0)
+    params = init_mlp([f] + draw(st.lists(st.integers(1, 12), min_size=2, max_size=3)),
+                      seed=3)
+    for b in params.layer_biases:
+        b[:] = 0.1 * rng.standard_normal(b.shape)
+    rows = np.sort(rng.choice(n, size=draw(st.integers(1, n)), replace=False))
+    return x, params, rows
+
+
+class TestScoredRows:
+    """train() scores each epoch from an eval forward of val ∪ test only;
+    the full pass runs on eigen-report epochs and for the graph
+    convolution."""
+
+    def test_mlp_forwards_scored_rows_except_on_eigen_epochs(self, synthetic_problem,
+                                                             monkeypatch):
+        graph, data = synthetic_problem
+        rows = record_eval_rows(monkeypatch, "forward", 1)
+        cfg = dataclasses.replace(small_config("orthoreg", alpha=0.05, beta=5e-5),
+                                  epochs=7, eigens_every=3)
+        _, history = train(cfg, graph, data)
+        scored = data.val_idx.size + data.test_idx.size
+        assert scored < data.n_nodes
+        assert rows == [data.n_nodes if e % 3 == 0 else scored for e in range(1, 8)]
+        assert [r.epoch for r in history.records if r.eigen is not None] == [3, 6]
+
+    def test_graph_convolution_forwards_every_row(self, synthetic_problem, monkeypatch):
+        graph, data = synthetic_problem
+        mlp_rows = record_eval_rows(monkeypatch, "forward", 1)
+        gcn_rows = record_eval_rows(monkeypatch, "gcn_forward", 3)
+        cfg = dataclasses.replace(small_config("none"), epochs=4)
+        train(cfg, graph, data, network=experiments.GraphConvolution)
+        assert mlp_rows == []
+        assert gcn_rows == [data.n_nodes] * 4
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_records_match_the_full_pass_route(self, synthetic_problem, sparse):
+        # eigens_every=1 runs the full pass on every epoch
+        graph, data = sparse_problem(synthetic_problem) if sparse else synthetic_problem
+        assert sp.issparse(data.training_input) == sparse
+        cfg = small_config("orthoreg", alpha=0.05, beta=5e-5)
+        _, scored = train(cfg, graph, data)
+        _, full = train(dataclasses.replace(cfg, eigens_every=1), graph, data)
+        assert all(r.eigen is not None for r in full.records)
+        assert [dataclasses.replace(r, eigen=None) for r in full.records] == scored.records
+        assert (scored.best_epoch, scored.best_val_acc, scored.best_test_acc) == (
+            full.best_epoch, full.best_val_acc, full.best_test_acc)
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_best_accuracies_are_full_pass_accuracies(self, synthetic_problem, sparse):
+        graph, data = sparse_problem(synthetic_problem) if sparse else synthetic_problem
+        params, history = train(small_config("none"), graph, data)
+        x = data.training_input
+        assert history.best_val_acc == full_pass_accuracy(params, x, data.labels, data.val_idx)
+        assert history.best_test_acc == full_pass_accuracy(params, x, data.labels,
+                                                           data.test_idx)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(case=subset_cases())
+    def test_subset_predictions_match_full_pass_rows(self, case):
+        # BLAS may round a small subset's GEMM differently from the full
+        # one (a 1-row input goes to gemv), so the logits are compared to
+        # float64 rounding and only the predictions exactly
+        x, params, rows = case
+        for inp in (x, sp.csr_matrix(x)):
+            sub = experiments._eval_logits(params, inp[rows])
+            full = forward(params, inp)[1][rows]
+            assert np.array_equal(np.argmax(sub, axis=1), np.argmax(full, axis=1))
+            assert np.abs(sub - full).max() <= 1e-12 * max(np.abs(full).max(), 1.0)
+
+
 class TestEvaluate:
     def test_perfect_predictor(self):
         labels = np.array([0, 1, 2, 1])
@@ -236,6 +336,23 @@ class TestEvaluate:
         params = init_mlp([data.n_features, 4, data.n_classes], seed=0)
         with pytest.raises(EmptyMask):
             evaluate(params, data.features, data.labels, np.array([], dtype=int))
+
+    def test_out_of_range_idx_rejected_naming_idx(self, synthetic_problem):
+        graph, data = synthetic_problem
+        params = init_mlp([data.n_features, 4, data.n_classes], seed=0)
+        n = data.n_nodes
+        for idx in ([-1], [n], [0, n + 5], [3, -n]):
+            with pytest.raises(ShapeMismatch, match="idx"):
+                evaluate(params, data.features, data.labels, idx)
+
+    def test_forwards_only_the_scored_rows(self, synthetic_problem, monkeypatch):
+        graph, data = sparse_problem(synthetic_problem)
+        params = init_mlp([data.n_features, 8, data.n_classes], seed=0)
+        expected = full_pass_accuracy(params, data.features, data.labels, data.val_idx)
+        rows = record_eval_rows(monkeypatch, "forward", 1)
+        for features in (data.features, sp.csr_matrix(data.features), sp.coo_matrix(data.features)):
+            assert evaluate(params, features, data.labels, data.val_idx) == expected
+        assert rows == [data.val_idx.size] * 3
 
 
 class TestRunTrials:

@@ -329,6 +329,35 @@ class TestAdam:
         adam_step(params, grads, state)
         assert params.layer_weights[0][0, 0] == pytest.approx(1.0 - 0.1 * 0.5)
 
+    @pytest.mark.parametrize("weight_decay", [0.0, 5e-4])
+    def test_matches_oracle_bit_for_bit(self, rng, weight_decay):
+        """The in-place step against the textbook formula of
+        tests/mlp_oracle.py, over steps whose gradients change scale by up
+        to eight orders of magnitude."""
+        params = init_mlp([37, 24, 16, 5], seed=2)
+        ref = params.copy()
+        state = adam_init(params, lr=0.01, weight_decay=weight_decay)
+        ref_state = adam_init(ref, lr=0.01, weight_decay=weight_decay)
+        for _ in range(12):
+            scale = 10.0 ** rng.integers(-6, 3)
+            grads = GradientBundle(
+                [scale * rng.standard_normal(w.shape) for w in params.layer_weights],
+                [scale * rng.standard_normal(b.shape) for b in params.layer_biases],
+                None,
+            )
+            given = [g.copy() for g in grads.weight_grads + grads.bias_grads]
+            adam_step(params, grads, state)
+            # the gradients are read, not written
+            for g, before in zip(grads.weight_grads + grads.bias_grads, given):
+                assert np.array_equal(g, before)
+            oracle.adam_step(ref, grads, ref_state)
+            for a, b in zip(params.layer_weights + params.layer_biases + state.first_moment
+                            + state.second_moment,
+                            ref.layer_weights + ref.layer_biases + ref_state.first_moment
+                            + ref_state.second_moment):
+                assert np.array_equal(a, b)
+        assert state.step == ref_state.step == 12
+
 
 class TestCheckpoint:
     def test_round_trip(self, tmp_path, rng):
