@@ -238,10 +238,12 @@ def _weight_run_verdict(run, eigs) -> collapse.CollapseVerdict:
     at the largest gap of P's eigenvalues."""
     resolved = [s for s in run.snapshots
                 if s.singular_values[-1] >= RATIO_FLOOR * s.singular_values[0]]
-    return collapse.verify_ratio_monotonicity(
-        collapse.DynamicsRun(trajectory_kind=run.trajectory_kind, snapshots=resolved),
-        collapse.largest_gap_split(eigs),
-    )
+    return collapse.verify_ratio_monotonicity(replace(run, snapshots=resolved),
+                                              collapse.largest_gap_split(eigs))
+
+
+# the simulate kinds that evolve a weight matrix on whitened node features
+WEIGHT_RUN_KINDS = ("closed-form", "gd-linear")
 
 
 def cmd_simulate(args) -> int:
@@ -251,34 +253,30 @@ def cmd_simulate(args) -> int:
         if value < least:
             raise ConfigError(f"{flag} must be >= {least}, got {value}")
     # whitening the node features needs more nodes than feature columns
-    if args.kind in ("closed-form", "gd-linear") and args.dim >= args.n:
+    if args.kind in WEIGHT_RUN_KINDS and args.dim >= args.n:
         raise ConfigError(f"--dim must be below --n for --kind {args.kind}, "
                           f"got --dim {args.dim} and --n {args.n}")
     rng = np.random.default_rng(seed)
     graph = _make_graph(args)
     os.makedirs(out_dir, exist_ok=True)
 
-    if args.kind == "closed-form":
+    if args.kind in WEIGHT_RUN_KINDS:
         lap = normalize(graph, "laplacian")
         x = collapse.whiten(rng.standard_normal((graph.n_nodes, args.dim)))
         p = collapse.build_p(x, lap)
         eigs = sym_eigvals(p)
-        spread = max(float(eigs[0] - eigs[-1]), 1e-9)
-        # exp(P t) grows like e^(lambda_max t): past t = 50 / lambda_max the
-        # squared singular values can overflow (a star graph's P does)
-        t_max = min(12.0 / spread, 50.0 / max(float(eigs[0]), 1e-9))
-        run = collapse.closed_form_trajectory(p, np.eye(args.dim), np.linspace(0.0, t_max, 50),
-                                              sign=args.sign)
-        verdict = _weight_run_verdict(run, eigs)
-    elif args.kind == "gd-linear":
-        lap = normalize(graph, "laplacian")
-        x = collapse.whiten(rng.standard_normal((graph.n_nodes, args.dim)))
-        p = collapse.build_p(x, lap)
-        eigs = sym_eigvals(p)
-        eta = 0.4 / max(float(eigs[0]), 1e-9)
-        run = collapse.gd_linear_trajectory(
-            x, lap, np.eye(args.dim), eta, steps, snapshot_every=max(1, steps // 50)
-        )
+        if args.kind == "closed-form":
+            spread = max(float(eigs[0] - eigs[-1]), 1e-9)
+            # exp(P t) grows like e^(lambda_max t): past t = 50 / lambda_max
+            # the squared singular values can overflow (a star graph's P does)
+            t_max = min(12.0 / spread, 50.0 / max(float(eigs[0]), 1e-9))
+            run = collapse.closed_form_trajectory(p, np.eye(args.dim),
+                                                  np.linspace(0.0, t_max, 50), sign=args.sign)
+        else:
+            eta = 0.4 / max(float(eigs[0]), 1e-9)
+            run = collapse.gd_linear_trajectory(
+                x, lap, np.eye(args.dim), eta, steps, snapshot_every=max(1, steps // 50)
+            )
         verdict = _weight_run_verdict(run, eigs)
     elif args.kind == "feature-update":
         a_sym = normalize(graph, "sym")

@@ -26,7 +26,7 @@ the squared weight singular values snapshot by snapshot.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -36,8 +36,8 @@ from .reg import RegularizerSpec, cross_correlation, neighborhood_summary, ortho
 from .tensor import (
     EigenReport,
     as_matrix,
-    correlation,
     covariance,
+    eigen_report,
     nesum,
     singular_values,
     spmm,
@@ -163,13 +163,8 @@ def feature_space_trajectory(
     h = as_matrix(h0, "h0").copy()
 
     def snap(step):
-        lam = sym_eigvals(correlation(h))
-        return Snapshot(
-            step=step,
-            state=h.copy(),
-            singular_values=singular_values(h),
-            eigen_report=EigenReport(epoch=step, eigenvalues=lam, nesum=nesum(lam)),
-        )
+        return Snapshot(step=step, state=h.copy(), singular_values=singular_values(h),
+                        eigen_report=eigen_report(h, epoch=step))
 
     snaps = [snap(0)]
     for step in range(1, steps + 1):
@@ -269,18 +264,8 @@ def verify_spectrum_identity(x, run: DynamicsRun) -> CollapseVerdict:
     with np.errstate(divide="ignore", invalid="ignore"):
         drop = final[1:] / np.clip(final[:-1], _TINY, None)
     d_split = int(np.argmin(drop)) + 1 if final.size > 1 else 1
-    pseudo = DynamicsRun(
-        trajectory_kind=run.trajectory_kind,
-        snapshots=[
-            Snapshot(
-                step=s.step,
-                state=s.state,
-                singular_values=lam_rows[k],
-                eigen_report=s.eigen_report,
-            )
-            for k, s in enumerate(run.snapshots)
-        ],
-    )
+    pseudo = replace(run, snapshots=[replace(s, singular_values=lam)
+                                     for s, lam in zip(run.snapshots, lam_rows)])
     verdict = verify_ratio_monotonicity(pseudo, d_split, tol=SPECTRUM_IDENTITY_TOL)
     verdict.details.append({"lambda_sigma_sq_max_rel_err": max_err})
     return verdict

@@ -32,7 +32,7 @@ from .net import (
     forward,
     init_mlp,
 )
-from .reg import REG_STRENGTHS, RegularizerSpec, regularizer_value_grad
+from .reg import REG_OPERATORS, REG_STRENGTHS, RegularizerSpec, regularizer_value_grad
 from .tensor import EigenReport, as_matrix, eigen_report, spmm
 
 THREADS_ENV = "ORTHOREG_THREADS"
@@ -162,27 +162,6 @@ def _accuracy(logits: np.ndarray, labels: np.ndarray) -> float:
     return float(np.mean(np.argmax(logits, axis=1) == labels))
 
 
-def _eval_logits(params: MlpParams, x_rows) -> np.ndarray:
-    """Logits of the eval-mode MLP forward over ``x_rows``, the rows of the
-    input that are scored. The MLP's rows are independent, so these are the
-    predictions of the full pass; the logits can differ from its rows in
-    the last bit where BLAS takes a small-matrix kernel (README). The
-    lookup goes through this module's ``forward``, the name the benchmark's
-    tracer wraps."""
-    return forward(params, x_rows, train_mode=False)[1]
-
-
-def _build_operators(graph: SparseGraph, spec: RegularizerSpec) -> dict:
-    ops = {}
-    if spec.kind == "laplacian":
-        ops["laplacian"] = normalize(graph, "laplacian")
-    elif spec.kind == "preg":
-        ops["sym"] = normalize(graph, "sym")
-    elif spec.kind == "orthoreg":
-        ops["rw"] = normalize(graph, "rw")
-    return ops
-
-
 def train(config: TrainConfig, graph: SparseGraph, data: Dataset, network=None):
     """Full-batch training with the configured regularizer injected at the
     embedding layer. Returns (best params, history); the returned parameters
@@ -193,9 +172,15 @@ def train(config: TrainConfig, graph: SparseGraph, data: Dataset, network=None):
     GraphConvolution).
 
     Each epoch's val/test accuracy comes from an eval forward of the
-    val ∪ test rows only. The full pass runs instead on an epoch with an
+    val ∪ test rows only, whose logits can differ from the full pass's rows
+    in the last bit (README). The full pass runs instead on an epoch with an
     eigen report, which reads H for every row, and for every epoch of a
-    ``network``, whose propagation needs every row."""
+    ``network``, whose propagation needs every row. An empty split raises
+    EmptyMask naming it before anything is built."""
+    for name in ("train", "val", "test"):
+        if np.size(getattr(data, f"{name}_idx")) == 0:
+            raise EmptyMask(f"the {name} split is empty; training needs train, val and "
+                            "test nodes")
     dims = config.resolve_dims(data.n_features, data.n_classes)
     params = init_mlp(dims, seed=config.seed)
     scored = np.union1d(data.val_idx, data.test_idx)
@@ -212,7 +197,8 @@ def train(config: TrainConfig, graph: SparseGraph, data: Dataset, network=None):
     test_rows = np.searchsorted(scored, data.test_idx)
     val_labels, test_labels = data.labels[data.val_idx], data.labels[data.test_idx]
     state = adam_init(params, lr=config.lr, weight_decay=adam_decay)
-    operators = _build_operators(graph, config.regularizer)
+    op_kind = REG_OPERATORS[config.regularizer.kind]
+    operators = {} if op_kind is None else {op_kind: normalize(graph, op_kind)}
 
     records = []
     best_val, best_test, best_epoch = -1.0, 0.0, 0
@@ -247,7 +233,7 @@ def train(config: TrainConfig, graph: SparseGraph, data: Dataset, network=None):
                 eig = eigen_report(h_eval, epoch=epoch)
             del h_eval
         else:
-            logits_eval = _eval_logits(params, x_scored)
+            logits_eval = forward(params, x_scored, train_mode=False)[1]
         val_acc = _accuracy(logits_eval[val_rows], val_labels)
         test_acc = _accuracy(logits_eval[test_rows], test_labels)
         records.append(
@@ -293,7 +279,7 @@ def evaluate(params: MlpParams, features, labels, idx) -> float:
         raise ShapeMismatch(f"idx holds rows outside [0, {n}): min {idx.min()}, max {idx.max()}")
     if labels.shape[0] != n:
         raise ShapeMismatch(f"features have {n} rows but labels have {labels.shape[0]}")
-    return _accuracy(_eval_logits(params, features[idx]), labels[idx])
+    return _accuracy(forward(params, features[idx], train_mode=False)[1], labels[idx])
 
 
 def _max_workers() -> int:

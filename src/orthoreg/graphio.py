@@ -239,6 +239,30 @@ class Dataset:
                 )
 
 
+def sample_splits(labels, n_classes: int, labels_per_class: int, n_val: int, n_test: int,
+                  rng: np.random.Generator):
+    """Sorted (train, val, test) index sets drawn from ``rng``:
+    ``labels_per_class`` nodes of each class without replacement, then val
+    and test as the first ``n_val`` and the next ``n_test`` nodes of a
+    permutation of the rest. A class with too few nodes, or too few nodes
+    left for val and test, raises ShapeMismatch."""
+    labels = np.asarray(labels)
+    train_parts = []
+    for c in range(n_classes):
+        members = np.flatnonzero(labels == c)
+        if members.size < labels_per_class:
+            raise ShapeMismatch(
+                f"class {c} has only {members.size} nodes; cannot sample {labels_per_class}"
+            )
+        train_parts.append(rng.choice(members, labels_per_class, replace=False))
+    train_idx = np.sort(np.concatenate(train_parts))
+    rest = rng.permutation(np.setdiff1d(np.arange(labels.size), train_idx))
+    if rest.size < n_val + n_test:
+        raise ShapeMismatch(f"{rest.size} nodes left after the train sample; "
+                            f"cannot take {n_val} val and {n_test} test nodes")
+    return train_idx, np.sort(rest[:n_val]), np.sort(rest[n_val:n_val + n_test])
+
+
 def _training_input(features: np.ndarray):
     """The feature matrix the training loop feeds to layer 0: a CSR copy
     when at most SPARSE_INPUT_MAX_DENSITY of its entries are non-zero,

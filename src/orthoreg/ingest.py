@@ -16,7 +16,7 @@ import os
 import numpy as np
 
 from .errors import MissingFile, ParseError, ShapeMismatch
-from .graphio import Dataset, build_graph, save_dataset, text_lines
+from .graphio import Dataset, build_graph, sample_splits, save_dataset, text_lines
 from .synth import synthetic_dataset
 
 
@@ -99,23 +99,9 @@ def convert_content_cites(
             read_split("train"), read_split("val"), read_split("test"),
         )
     else:
-        rng = np.random.default_rng(seed)
-        train_parts = []
-        for c in range(len(classes)):
-            members = np.flatnonzero(labels == c)
-            if members.size < labels_per_class:
-                raise ShapeMismatch(
-                    f"class {classes[c]} has only {members.size} nodes; "
-                    f"cannot sample {labels_per_class}"
-                )
-            train_parts.append(rng.choice(members, labels_per_class, replace=False))
-        train_idx = np.sort(np.concatenate(train_parts))
-        rest = rng.permutation(np.setdiff1d(np.arange(n), train_idx))
-        if rest.size < n_val + n_test:
-            raise ShapeMismatch("not enough nodes left for the requested val/test sizes")
-        val_idx = np.sort(rest[:n_val])
-        test_idx = np.sort(rest[n_val:n_val + n_test])
-
+        train_idx, val_idx, test_idx = sample_splits(
+            labels, len(classes), labels_per_class, n_val, n_test, np.random.default_rng(seed)
+        )
     data = Dataset(
         features=features,
         labels=labels,

@@ -25,12 +25,14 @@ bit-identical to gating with the pre-activation and a float mask.
 
 from __future__ import annotations
 
+import os
+import zipfile
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import EmptyMask, ShapeMismatch
+from .errors import EmptyMask, MissingFile, ParseError, ShapeMismatch
 from .tensor import as_matrix
 
 
@@ -138,9 +140,11 @@ def cross_entropy(logits, labels, mask):
         raise ShapeMismatch("mask selects a node without a valid label")
     sub = logits[idx]
     z = sub - sub.max(axis=1, keepdims=True)
-    log_norm = np.log(np.exp(z).sum(axis=1))
-    loss = float(np.mean(log_norm - z[np.arange(idx.size), y]))
-    probs = softmax(sub)
+    # one exp serves the log-normalizer and the softmax
+    probs = np.exp(z)
+    norm = probs.sum(axis=1, keepdims=True)
+    loss = float(np.mean(np.log(norm[:, 0]) - z[np.arange(idx.size), y]))
+    probs /= norm
     probs[np.arange(idx.size), y] -= 1.0
     grad = np.zeros_like(logits)
     grad[idx] = probs / idx.size
@@ -280,11 +284,30 @@ def save_checkpoint(params: MlpParams, path) -> None:
 
 
 def load_checkpoint(path) -> MlpParams:
-    with np.load(path) as blob:
-        version = int(blob["version"][0])
-        if version != CHECKPOINT_VERSION:
-            raise ShapeMismatch(f"unsupported checkpoint version {version}")
-        dims = [int(d) for d in blob["dims"]]
+    """The parameters saved by save_checkpoint. A missing file, a file that
+    is not an .npz archive, a missing or contradicting array and a
+    non-finite parameter each raise a package error naming the file (and
+    the array)."""
+    if not os.path.isfile(path):
+        raise MissingFile(f"checkpoint not found: {path}")
+    try:
+        blob = np.load(path)
+    except (ValueError, OSError, EOFError, zipfile.BadZipFile):
+        blob = None  # not a numpy file, or a truncated one
+    if not isinstance(blob, np.lib.npyio.NpzFile):
+        raise ParseError(f"{path}: not an .npz checkpoint archive")
+    with blob:
+        def read(name):
+            if name not in blob:
+                raise ParseError(f"{path}: checkpoint has no array {name!r}")
+            return blob[name]
+
+        version = read("version")
+        if version.shape != (1,) or int(version[0]) != CHECKPOINT_VERSION:
+            raise ShapeMismatch(f"{path}: unsupported checkpoint version {version.tolist()}")
+        dims = [int(d) for d in read("dims")]
+        if len(dims) < 2:
+            raise ShapeMismatch(f"{path}: dims {dims} give no layer")
         activation = str(blob["activation"][0]) if "activation" in blob else "relu"
         if activation != "relu":
             raise ShapeMismatch(f"{path}: activation {activation!r} is not relu, "
@@ -293,10 +316,13 @@ def load_checkpoint(path) -> MlpParams:
         for i, (fan_in, fan_out) in enumerate(zip(dims[:-1], dims[1:])):
             for name, shape, arrays in ((f"W{i}", (fan_in, fan_out), weights),
                                         (f"b{i}", (fan_out,), biases)):
-                arr = blob[name]
+                arr = read(name)
                 if arr.shape != shape:
                     raise ShapeMismatch(f"{path}: {name} has shape {arr.shape} "
                                         f"but dims {dims} give {shape}")
-                arrays.append(arr.astype(np.float64))
+                arr = arr.astype(np.float64)
+                if not np.all(np.isfinite(arr)):
+                    raise ShapeMismatch(f"{path}: {name} contains non-finite values")
+                arrays.append(arr)
     return MlpParams(layer_weights=weights, layer_biases=biases, dims=dims,
                      activation=activation)

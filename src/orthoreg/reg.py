@@ -13,6 +13,10 @@ Three families are implemented:
   smoothness) while off-diagonal entries are squared-penalized
   (decorrelated dimensions).
 
+REG_STRENGTHS lists the strengths each kind reads, and REG_OPERATORS the
+normalized operator it reads (``None`` for none and corr_identity);
+training builds just that operator.
+
 Correlations standardize each column (subtract mean, divide by
 sqrt(variance + CORRELATION_EPS)), but no standardized N x D copy is
 formed: from the centered columns Hc, Sc and their scales std_h, std_s,
@@ -49,6 +53,14 @@ REG_STRENGTHS = {
     "orthoreg": ("alpha", "beta"),
 }
 REG_KINDS = tuple(REG_STRENGTHS)
+# the normalized operator each kind reads (graphio's kind names), if any
+REG_OPERATORS = {
+    "none": None,
+    "laplacian": LAPLACIAN_KIND,
+    "preg": SYM_KIND,
+    "corr_identity": None,
+    "orthoreg": RW_KIND,
+}
 
 
 @dataclass(frozen=True)
@@ -116,23 +128,19 @@ def neighborhood_summary(h, a_rw: NormalizedOperator, hops: int, mode: str = POO
         raise ShapeMismatch(f"neighborhood_summary needs an rw operator, got {a_rw.kind}")
     if hops < 1:
         raise ShapeMismatch("hops must be >= 1")
-    if mode == POOL_SECOND_HOP:
-        return spmm(a_rw, spmm(a_rw, h))
-    acc = power = spmm(a_rw, h)
-    for _ in range(hops - 1):
-        power = spmm(a_rw, power)
-        acc += power
-    acc /= hops
-    return acc
+    return _pool(spmm, h, a_rw, hops, mode)
 
 
-def _summary_backward(grad_s, a_rw: NormalizedOperator, hops: int, mode: str):
-    """Adjoint of neighborhood_summary: transposed operator powers."""
+def _pool(product, m, a_rw: NormalizedOperator, hops: int, mode: str):
+    """The pooling of neighborhood_summary with ``product`` as the operator
+    product: ``spmm`` for the summary, ``spmm_t`` for its adjoint. Callers
+    pass this module's name, read at call time, so a wrapper set on
+    ``reg.spmm`` or ``reg.spmm_t`` (perfbench/tracer.py) sees every product."""
     if mode == POOL_SECOND_HOP:
-        return spmm_t(a_rw, spmm_t(a_rw, grad_s))
-    acc = power = spmm_t(a_rw, grad_s)
+        return product(a_rw, product(a_rw, m))
+    acc = power = product(a_rw, m)
     for _ in range(hops - 1):
-        power = spmm_t(a_rw, power)
+        power = product(a_rw, power)
         acc += power
     acc /= hops
     return acc
@@ -219,7 +227,7 @@ def orthoreg_loss(h, a_rw: NormalizedOperator, spec: RegularizerSpec):
     grad_c = 2.0 * spec.beta * off
     np.fill_diagonal(grad_c, -spec.alpha)
     grad_h, grad_s = _backward(cc, grad_c)
-    grad_h += _summary_backward(grad_s, a_rw, spec.hops, spec.pooling)
+    grad_h += _pool(spmm_t, grad_s, a_rw, spec.hops, spec.pooling)
     return value, grad_h
 
 
@@ -236,16 +244,16 @@ def corr_identity_reg(h, lam: float, center: bool = True):
 
 
 def regularizer_value_grad(h, spec: RegularizerSpec, operators: dict):
-    """Dispatch on spec.kind; ``operators`` maps kind names ('laplacian',
-    'sym', 'rw') to prebuilt NormalizedOperators."""
+    """Dispatch on spec.kind; ``operators`` maps normalization kinds
+    ('laplacian', 'sym', 'rw') to prebuilt NormalizedOperators and holds at
+    least the one REG_OPERATORS names for spec.kind."""
     if spec.kind == "none":
         return 0.0, None
-    if spec.kind == "laplacian":
-        return laplacian_reg(h, operators["laplacian"], spec.lam)
-    if spec.kind == "preg":
-        return p_reg(h, operators["sym"], spec.lam)
     if spec.kind == "corr_identity":
         return corr_identity_reg(h, spec.lam, center=spec.center_correlation)
-    if spec.kind == "orthoreg":
-        return orthoreg_loss(h, operators["rw"], spec)
-    raise ConfigError(f"unknown regularizer kind: {spec.kind!r}")
+    op = operators[REG_OPERATORS[spec.kind]]
+    if spec.kind == "laplacian":
+        return laplacian_reg(h, op, spec.lam)
+    if spec.kind == "preg":
+        return p_reg(h, op, spec.lam)
+    return orthoreg_loss(h, op, spec)

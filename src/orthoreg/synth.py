@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graphio import Dataset, SparseGraph, graph_from_edges
+from .graphio import Dataset, SparseGraph, graph_from_edges, sample_splits
 
 
 def ring_graph(n: int) -> SparseGraph:
@@ -77,28 +77,21 @@ def synthetic_dataset(
     """A homophilous node-classification problem: SBM structure whose blocks
     are the classes, features drawn as a class prototype plus isotropic
     noise. The noise level is chosen so features alone are informative but
-    imperfect, leaving headroom for graph regularization to help."""
+    imperfect, leaving headroom for graph regularization to help. Splits come
+    from graphio.sample_splits."""
     rng = np.random.default_rng(seed)
     graph, labels = sbm_graph(n_nodes, n_classes, intra_p, inter_p, seed=seed + 1)
     prototypes = rng.standard_normal((n_classes, n_features))
     features = prototypes[labels] + noise * rng.standard_normal((n_nodes, n_features))
 
-    train_parts = []
-    for c in range(n_classes):
-        members = np.flatnonzero(labels == c)
-        train_parts.append(rng.choice(members, size=labels_per_class, replace=False))
-    train_idx = np.sort(np.concatenate(train_parts))
-    rest = np.setdiff1d(np.arange(n_nodes), train_idx)
-    rest = rng.permutation(rest)
-    val_idx = np.sort(rest[:n_val])
-    test_idx = np.sort(rest[n_val:n_val + n_test])
-
+    train_idx, val_idx, test_idx = sample_splits(labels, n_classes, labels_per_class,
+                                                 n_val, n_test, rng)
     data = Dataset(
         features=features,
         labels=labels.astype(np.int64),
         n_classes=n_classes,
-        train_idx=train_idx.astype(np.int64),
-        val_idx=val_idx.astype(np.int64),
-        test_idx=test_idx.astype(np.int64),
+        train_idx=train_idx,
+        val_idx=val_idx,
+        test_idx=test_idx,
     )
     return graph, data

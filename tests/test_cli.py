@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 from orthoreg import cli, collapse, errors, synth
 from orthoreg.cli import main
 from orthoreg.experiments import TrainConfig
-from orthoreg.graphio import normalize
+from orthoreg.graphio import load_dataset, normalize
 from orthoreg.ingest import write_synthetic
 from orthoreg.reg import RegularizerSpec
 from orthoreg.tensor import sym_eigvals
@@ -47,6 +47,18 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def write_content_cites(tmp_path, n_nodes: int, n_classes: int = 3):
+    """A content/cites dump of ``n_nodes`` papers named paper0.. in class
+    type{i % n_classes}, cited around a ring."""
+    content = tmp_path / "nodes.content"
+    cites = tmp_path / "links.cites"
+    content.write_text("".join(
+        f"paper{i} {i % 2} {(i // 2) % 3} {(i * 7) % 5} type{i % n_classes}\n"
+        for i in range(n_nodes)))
+    cites.write_text("".join(f"paper{i} paper{(i + 1) % n_nodes}\n" for i in range(n_nodes)))
+    return str(content), str(cites)
 
 
 FAST_TRAIN = ["--epochs", "30", "--hidden", "8", "--embedding", "8",
@@ -81,6 +93,43 @@ class TestIngest:
         # 40 nodes / 2 classes, default 20 per class exhausts every node, so
         # sampling val/test must fail loudly
         assert code == 3
+
+    def test_content_cites_samples_splits(self, tmp_path, capsys):
+        content, cites = write_content_cites(tmp_path, 1600)
+        splits = []
+        for out in (tmp_path / "a", tmp_path / "b"):
+            code, _, err = run_cli(capsys, "ingest", "--kind", "content-cites",
+                                   "--content", content, "--cites", cites,
+                                   "--out", str(out), "--seed", "5")
+            assert code == 0, err
+            _, data = load_dataset(str(out))
+            splits.append((data.train_idx, data.val_idx, data.test_idx))
+        (train, val, test), again = splits
+        assert np.bincount(data.labels[train]).tolist() == [20, 20, 20]
+        assert (val.size, test.size) == (500, 1000)
+        assert np.unique(np.concatenate([train, val, test])).size == 1560
+        assert all(np.array_equal(x, y) for x, y in zip((train, val, test), again))
+
+    def test_content_cites_splits_dir_translates_raw_ids(self, tmp_path, capsys):
+        content, cites = write_content_cites(tmp_path, 40)
+        split_dir = tmp_path / "splits"
+        split_dir.mkdir()
+        (split_dir / "train.txt").write_text("paper3\npaper0\n")
+        (split_dir / "val.txt").write_text("paper7\n")
+        (split_dir / "test.txt").write_text("paper12\npaper30\n")
+        argv = ["ingest", "--kind", "content-cites", "--content", content, "--cites", cites,
+                "--splits", str(split_dir)]
+        out = str(tmp_path / "ds")
+        code, _, err = run_cli(capsys, *argv, "--out", out)
+        assert code == 0, err
+        _, data = load_dataset(out)
+        assert (data.train_idx.tolist(), data.val_idx.tolist(), data.test_idx.tolist()) == (
+            [3, 0], [7], [12, 30])
+
+        (split_dir / "test.txt").write_text("paper12\nnosuch\n")
+        code, _, err = run_cli(capsys, *argv, "--out", str(tmp_path / "bad"))
+        assert code == 3
+        assert str(split_dir / "test.txt") in err and "nosuch" in err
 
     def test_missing_inputs_rejected(self, tmp_path, capsys):
         code, _, err = run_cli(capsys, "ingest", "--kind", "content-cites",
@@ -123,6 +172,15 @@ class TestTrain:
                                "--out", str(tmp_path / "o"), *FAST_TRAIN)
         assert code == 3
         assert "features.csv" in err
+
+    def test_empty_val_split_exits_3_naming_it(self, dataset_dir, tmp_path, capsys):
+        broken = tmp_path / "broken"
+        shutil.copytree(dataset_dir, broken)
+        (broken / "splits" / "val.txt").write_text("")
+        code, _, err = run_cli(capsys, "train", "--dataset", str(broken),
+                               "--out", str(tmp_path / "o"), *FAST_TRAIN)
+        assert code == 3
+        assert "the val split is empty" in err
 
     def test_negative_tradeoff_exits_2(self, dataset_dir, tmp_path, capsys):
         code, _, _ = run_cli(capsys, "train", "--dataset", dataset_dir,

@@ -34,7 +34,7 @@ from orthoreg.experiments import (
 )
 from orthoreg.graphio import mask_edges, normalize, select_isolated
 from orthoreg.net import cross_entropy, forward, init_mlp
-from orthoreg.reg import RegularizerSpec
+from orthoreg.reg import REG_OPERATORS, RegularizerSpec
 from orthoreg.synth import sbm_graph
 
 
@@ -114,6 +114,40 @@ class TestTrainLoop:
         )
         _, history = train(cfg, graph, data)
         assert history.best_val_acc > 0.25  # learns something beyond chance
+
+    @pytest.mark.parametrize("split", ["train", "val", "test"])
+    def test_empty_split_rejected_before_initialization(self, synthetic_problem, monkeypatch,
+                                                        split):
+        graph, data = synthetic_problem
+        empty = dataclasses.replace(data, **{f"{split}_idx": np.array([], dtype=np.int64)})
+
+        def no_init(*args, **kwargs):
+            raise AssertionError("init_mlp ran")
+
+        monkeypatch.setattr(experiments, "init_mlp", no_init)
+        with pytest.raises(EmptyMask, match=f"the {split} split is empty"):
+            train(small_config("none"), graph, empty)
+
+    @pytest.mark.parametrize("kind, strengths, built", [
+        ("none", {}, []),
+        ("laplacian", {"lam": 0.1}, ["laplacian"]),
+        ("preg", {"lam": 0.1}, ["sym"]),
+        ("corr_identity", {"lam": 0.1}, []),
+        ("orthoreg", {"alpha": 0.05, "beta": 5e-5}, ["rw"]),
+    ])
+    def test_builds_the_one_operator_its_kind_reads(self, synthetic_problem, monkeypatch,
+                                                    kind, strengths, built):
+        graph, data = synthetic_problem
+        calls = []
+        original = experiments.normalize
+
+        def counting(g, op_kind):
+            calls.append(op_kind)
+            return original(g, op_kind)
+
+        monkeypatch.setattr(experiments, "normalize", counting)
+        train(dataclasses.replace(small_config(kind, **strengths), epochs=2), graph, data)
+        assert calls == built == [op for op in [REG_OPERATORS[kind]] if op is not None]
 
     def test_regularized_beats_plain_mlp_on_homophilous_features(self, synthetic_problem):
         # noisy class prototypes + strongly homophilous structure: the
@@ -300,7 +334,7 @@ class TestScoredRows:
         # float64 rounding and only the predictions exactly
         x, params, rows = case
         for inp in (x, sp.csr_matrix(x)):
-            sub = experiments._eval_logits(params, inp[rows])
+            sub = experiments.forward(params, inp[rows], train_mode=False)[1]
             full = forward(params, inp)[1][rows]
             assert np.array_equal(np.argmax(sub, axis=1), np.argmax(full, axis=1))
             assert np.abs(sub - full).max() <= 1e-12 * max(np.abs(full).max(), 1.0)

@@ -16,10 +16,11 @@ from orthoreg.graphio import (
     load_edge_list,
     mask_edges,
     normalize,
+    sample_splits,
     save_dataset,
     select_isolated,
 )
-from orthoreg.synth import star_graph
+from orthoreg.synth import star_graph, synthetic_dataset
 from orthoreg.tensor import sym_eigvals
 
 
@@ -146,6 +147,40 @@ class TestDatasetRoundTrip:
                    data.features[:-1], delimiter=",", fmt="%.6g")
         with pytest.raises(ShapeMismatch):
             load_dataset(tmp_path / "ds")
+
+
+class TestSampleSplits:
+    def test_per_class_train_then_disjoint_val_and_test(self):
+        labels = np.repeat(np.arange(3), 30)
+        train, val, test = sample_splits(labels, 3, 5, 20, 40, np.random.default_rng(0))
+        assert np.bincount(labels[train]).tolist() == [5, 5, 5]
+        assert (val.size, test.size) == (20, 40)
+        assert np.unique(np.concatenate([train, val, test])).size == 75
+        for idx in (train, val, test):
+            assert np.all(np.diff(idx) > 0)
+        again = sample_splits(labels, 3, 5, 20, 40, np.random.default_rng(0))
+        assert all(np.array_equal(a, b) for a, b in zip((train, val, test), again))
+
+    def test_short_class_rejected_naming_its_label_index(self):
+        labels = np.array([0] * 10 + [1] * 3)
+        with pytest.raises(ShapeMismatch, match="class 1 has only 3 nodes"):
+            sample_splits(labels, 2, 4, 1, 1, np.random.default_rng(0))
+
+    def test_too_few_nodes_for_val_and_test_rejected(self):
+        labels = np.repeat(np.arange(2), 10)
+        with pytest.raises(ShapeMismatch, match="cannot take 10 val and 7 test"):
+            sample_splits(labels, 2, 2, 10, 7, np.random.default_rng(0))
+
+    def test_synthetic_dataset_rejects_a_short_class(self):
+        # 40 nodes in 4 blocks of 10
+        with pytest.raises(ShapeMismatch, match="class 0 has only 10 nodes"):
+            synthetic_dataset(n_nodes=40, n_classes=4, labels_per_class=11, n_val=5, n_test=5)
+
+    def test_synthetic_dataset_rejects_oversized_val_and_test(self):
+        # 100 nodes less 20 train nodes leave 80 for 60 + 30
+        with pytest.raises(ShapeMismatch, match="80 nodes left"):
+            synthetic_dataset(n_nodes=100, n_classes=4, labels_per_class=5, n_val=60,
+                              n_test=30)
 
 
 class TestNormalize:

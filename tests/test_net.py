@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 import mlp_oracle as oracle
 from conftest import finite_difference, rel_err
-from orthoreg.errors import EmptyMask, ShapeMismatch
+from orthoreg.errors import EmptyMask, MissingFile, ParseError, ShapeMismatch
 from orthoreg.experiments import gcn_backward, gcn_forward
 from orthoreg.graphio import normalize
 from orthoreg.net import (
@@ -359,7 +359,55 @@ class TestAdam:
         assert state.step == ref_state.step == 12
 
 
+def checkpoint_with(path, drop=None, **arrays):
+    """Save a [4, 3, 2] checkpoint to ``path``, less the array ``drop`` and
+    with ``arrays`` replaced."""
+    save_checkpoint(init_mlp([4, 3, 2], seed=0), path)
+    with np.load(path) as saved:
+        blob = dict(saved)
+    blob.pop(drop, None)
+    blob.update(arrays)
+    np.savez(path, **blob)
+
+
+def write_npy(path):
+    with open(path, "wb") as fh:
+        np.save(fh, np.zeros(3))
+
+
+# (array named in the message or None, writer of the defective file, error)
+CHECKPOINT_DEFECTS = {
+    "missing-W0": ("W0", lambda p: checkpoint_with(p, drop="W0"), ParseError),
+    "missing-b1": ("b1", lambda p: checkpoint_with(p, drop="b1"), ParseError),
+    "missing-dims": ("dims", lambda p: checkpoint_with(p, drop="dims"), ParseError),
+    "missing-version": ("version", lambda p: checkpoint_with(p, drop="version"), ParseError),
+    "nan-W1": ("W1", lambda p: checkpoint_with(p, W1=np.full((3, 2), np.nan)), ShapeMismatch),
+    "inf-b0": ("b0", lambda p: checkpoint_with(p, b0=np.array([0.0, np.inf, 0.0])),
+               ShapeMismatch),
+    "short-dims": ("dims", lambda p: checkpoint_with(p, dims=np.array([4])), ShapeMismatch),
+    "empty-version": ("version", lambda p: checkpoint_with(p, version=np.array([], dtype=np.int64)),
+                      ShapeMismatch),
+    "text-file": (None, lambda p: p.write_text("W0 = 1\n"), ParseError),
+    "empty-file": (None, lambda p: p.write_bytes(b""), ParseError),
+    "npy-array": (None, write_npy, ParseError),
+    "absent": (None, lambda p: None, MissingFile),
+}
+
+
 class TestCheckpoint:
+    @pytest.mark.parametrize("case", list(CHECKPOINT_DEFECTS))
+    def test_defective_file_rejected_naming_it(self, tmp_path, case):
+        array, make, error = CHECKPOINT_DEFECTS[case]
+        path = tmp_path / "model.npz"
+        make(path)
+        with pytest.raises(error) as excinfo:
+            load_checkpoint(path)
+        message = str(excinfo.value)
+        assert excinfo.value.exit_code == 3
+        assert str(path) in message
+        if array is not None:
+            assert array in message.replace(str(path), "")
+
     def test_round_trip(self, tmp_path, rng):
         params = init_mlp([5, 7, 4], seed=9)
         path = tmp_path / "model.npz"
