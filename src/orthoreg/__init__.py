@@ -42,7 +42,6 @@ from .tensor import (
     correlation,
     covariance,
     eigen_report,
-    expm_sym,
     nesum,
     singular_values,
     spmm,

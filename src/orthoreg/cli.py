@@ -32,7 +32,7 @@ import numpy as np
 from . import collapse, experiments, ingest, synth
 from .errors import ConfigError, OrthoRegError
 from .experiments import TrainConfig
-from .graphio import load_dataset, normalize, text_lines
+from .graphio import key_value_lines, load_dataset, normalize, save_dataset
 from .net import save_checkpoint
 from .reg import POOL_AVERAGE, POOL_SECOND_HOP, REG_KINDS, RegularizerSpec
 from .tensor import sym_eigvals
@@ -64,14 +64,7 @@ def _parse_config_file(path) -> dict:
     if not os.path.isfile(path):
         raise ConfigError(f"config file not found: {path}")
     values = {}
-    for lineno, raw in enumerate(text_lines(path, ConfigError), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, sep, value = line.partition("=")
-        key, value = key.strip(), value.strip()
-        if not sep or not key:
-            raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
+    for lineno, key, value in key_value_lines(path, ConfigError):
         if key not in CONFIG_KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown config key '{key}'")
         try:
@@ -164,18 +157,17 @@ def _flag_values(text: str, parse, flag: str) -> list:
 
 def cmd_ingest(args) -> int:
     if args.kind == "synthetic":
-        kwargs = {}
-        if args.seed is not None:
-            kwargs["seed"] = args.seed
-        ingest.write_synthetic(args.out, **kwargs)
+        stray = [f"--{name}" for name in ("content", "cites", "splits")
+                 if getattr(args, name) is not None]
+        if stray:
+            raise ConfigError(f"--kind synthetic takes no {', '.join(stray)}; "
+                              "they apply to --kind content-cites")
+        save_dataset(args.out, *synth.synthetic_dataset(seed=args.seed))
     else:
         if not args.content or not args.cites:
             raise ConfigError("content-cites ingest needs --content and --cites")
-        ingest.convert_content_cites(
-            args.content, args.cites, args.out,
-            seed=args.seed if args.seed is not None else 0,
-            splits_dir=args.splits,
-        )
+        ingest.convert_content_cites(args.content, args.cites, args.out, seed=args.seed,
+                                     splits_dir=args.splits)
     print(json.dumps({"ingested": args.out}))
     return 0
 
@@ -392,6 +384,18 @@ def cmd_bench(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+# the flags train and suite share, each with its dest (a config key) and type
+RUN_FLAGS = (("--dataset", "dataset", str), ("--out", "out", str),
+             ("--alpha", "alpha", float), ("--beta", "beta", float), ("--lam", "lam", float),
+             ("--T", "hops", int), ("--epochs", "epochs", int), ("--seed", "seed", _seed),
+             ("--trials", "trials", int))
+
+
+def _add_run_flags(parser) -> None:
+    for flag, dest, kind in RUN_FLAGS:
+        parser.add_argument(flag, dest=dest, type=kind)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="orthoreg",
@@ -405,28 +409,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_ingest.add_argument("--content")
     p_ingest.add_argument("--cites")
     p_ingest.add_argument("--splits")
-    p_ingest.add_argument("--seed", type=_seed)
+    p_ingest.add_argument("--seed", type=_seed, default=0)
     p_ingest.add_argument("--out", required=True)
     p_ingest.set_defaults(func=cmd_ingest)
 
     p_train = sub.add_parser("train", help="train one configuration")
-    p_train.add_argument("--dataset")
+    _add_run_flags(p_train)
     p_train.add_argument("--config", help="flat key = value config file")
-    p_train.add_argument("--out")
     p_train.add_argument("--reg", choices=REG_KINDS)
-    p_train.add_argument("--alpha", type=float)
-    p_train.add_argument("--beta", type=float)
-    p_train.add_argument("--lam", type=float)
-    p_train.add_argument("--T", dest="hops", type=int)
     p_train.add_argument("--pooling", choices=[POOL_AVERAGE, POOL_SECOND_HOP])
     p_train.add_argument("--lr", type=float)
     p_train.add_argument("--dropout", dest="dropout_p", type=float)
     p_train.add_argument("--weight-decay", dest="weight_decay", type=float)
-    p_train.add_argument("--epochs", type=int)
     p_train.add_argument("--hidden", type=int)
     p_train.add_argument("--embedding", type=int)
-    p_train.add_argument("--seed", type=_seed)
-    p_train.add_argument("--trials", type=int)
     p_train.add_argument("--eigens-every", dest="eigens_every", type=int)
     p_train.add_argument("--patience", dest="early_stop_patience", type=int)
     p_train.add_argument("--tune", action="store_true",
@@ -452,15 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_suite = sub.add_parser("suite", help="consolidated experiment suites")
     p_suite.add_argument("name")
-    p_suite.add_argument("--dataset")
-    p_suite.add_argument("--out")
-    p_suite.add_argument("--alpha", type=float)
-    p_suite.add_argument("--beta", type=float)
-    p_suite.add_argument("--lam", type=float)
-    p_suite.add_argument("--T", dest="hops", type=int)
-    p_suite.add_argument("--epochs", type=int)
-    p_suite.add_argument("--seed", type=_seed)
-    p_suite.add_argument("--trials", type=int)
+    _add_run_flags(p_suite)
     p_suite.add_argument("--ratios", default="0,0.2,0.4", help="comma-separated mask ratios")
     p_suite.set_defaults(func=cmd_suite)
 

@@ -60,7 +60,6 @@ class Snapshot:
 
 @dataclass(frozen=True)
 class DynamicsRun:
-    trajectory_kind: str
     snapshots: list
 
     def sv_matrix(self) -> np.ndarray:
@@ -118,7 +117,7 @@ def closed_form_trajectory(p, w0, times, sign: int = +1) -> DynamicsRun:
     for k, t in enumerate(times):
         w = (vecs * np.exp(sign * vals * t)) @ proj
         snaps.append(_w_snapshot(k, w))
-    return DynamicsRun(trajectory_kind="closed_form_expm", snapshots=snaps)
+    return DynamicsRun(snaps)
 
 
 def gd_linear_trajectory(
@@ -144,7 +143,7 @@ def gd_linear_trajectory(
         w = w - 2.0 * step_size * (p @ w)
         if step % snapshot_every == 0 or step == steps:
             snaps.append(_w_snapshot(step, w))
-    return DynamicsRun(trajectory_kind="gradient_descent_linear", snapshots=snaps)
+    return DynamicsRun(snaps)
 
 
 def feature_space_trajectory(
@@ -171,7 +170,7 @@ def feature_space_trajectory(
         h = (1.0 - 2.0 * tau) * h + 2.0 * tau * spmm(a_sym, h)
         if step % snapshot_every == 0 or step == steps:
             snaps.append(snap(step))
-    return DynamicsRun(trajectory_kind="feature_space_update", snapshots=snaps)
+    return DynamicsRun(snaps)
 
 
 def largest_gap_split(values) -> int:
@@ -332,10 +331,6 @@ def write_dynamics_csv(run: DynamicsRun, path) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["step", "index", "singular_value", "eigenvalue", "nesum"])
         for s in run.snapshots:
-            lam = s.eigen_report.eigenvalues
-            for i in range(len(s.singular_values)):
-                eig = lam[i] if i < len(lam) else ""
-                writer.writerow(
-                    [s.step, i + 1, repr(float(s.singular_values[i])),
-                     repr(float(eig)) if eig != "" else "", repr(float(s.eigen_report.nesum))]
-                )
+            nesum_cell = repr(float(s.eigen_report.nesum))
+            for i, (sv, eig) in enumerate(zip(s.singular_values, s.eigen_report.eigenvalues)):
+                writer.writerow([s.step, i + 1, repr(float(sv)), repr(float(eig)), nesum_cell])

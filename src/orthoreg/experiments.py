@@ -268,7 +268,9 @@ def train(config: TrainConfig, graph: SparseGraph, data: Dataset, network=None):
 def evaluate(params: MlpParams, features, labels, idx) -> float:
     """Accuracy on the rows ``idx`` of the eval-mode (dropout-free,
     graph-free) forward pass, which runs over those rows only. ``features``
-    is a dense array or a scipy sparse matrix."""
+    is a dense array or a scipy sparse matrix. Every row of ``idx`` needs a
+    label the network can predict; an unlabeled one (-1) or one outside
+    its classes raises ShapeMismatch, as a split holding one does."""
     features = features.tocsr() if sp.issparse(features) else np.asarray(features)
     labels = np.asarray(labels)
     idx = np.asarray(idx, dtype=np.int64).ravel()
@@ -279,7 +281,13 @@ def evaluate(params: MlpParams, features, labels, idx) -> float:
         raise ShapeMismatch(f"idx holds rows outside [0, {n}): min {idx.min()}, max {idx.max()}")
     if labels.shape[0] != n:
         raise ShapeMismatch(f"features have {n} rows but labels have {labels.shape[0]}")
-    return _accuracy(forward(params, features[idx], train_mode=False)[1], labels[idx])
+    y = labels[idx]
+    n_classes = params.dims[-1]
+    bad = np.flatnonzero((y < 0) | (y >= n_classes))
+    if bad.size:
+        raise ShapeMismatch(f"idx selects row {idx[bad[0]]}, whose label {y[bad[0]]} is "
+                            f"unlabeled or outside the network's classes [0, {n_classes})")
+    return _accuracy(forward(params, features[idx], train_mode=False)[1], y)
 
 
 def _max_workers() -> int:

@@ -7,8 +7,8 @@ self-loops are dropped at load time. The dataset directory layout is plain
 text: ``edges.txt`` (one "src dst" pair per line, ``#`` comments allowed),
 ``features.csv`` (N x F comma-separated reals, no header), ``labels.csv``
 (one integer per row, -1 = unlabeled), ``splits/{train,val,test}.txt`` (one
-index per line), and an optional ``meta.txt`` with ``n_nodes=`` /
-``n_classes=`` overrides. An optional ``node_ids.txt`` sidecar (one
+index per line), and an optional ``meta.txt`` of ``key = value`` lines
+(``#`` starts a comment) with ``n_nodes`` / ``n_classes`` overrides. An optional ``node_ids.txt`` sidecar (one
 original id per line) remaps arbitrary ids to dense 0..N-1.
 """
 
@@ -283,25 +283,36 @@ def _parsed(path, parse, *args, **kwargs):
         raise ParseError(f"{path}: {exc}") from None
 
 
-def _read_index_file(path) -> np.ndarray:
+def key_value_lines(path, error=ParseError):
+    """The ``key = value`` lines of the text file ``path``, as (lineno, key,
+    value) with both sides stripped. ``#`` starts a comment and blank lines
+    are skipped; a line without ``=`` or with an empty key raises ``error``
+    naming ``path:lineno``."""
+    for lineno, raw in enumerate(text_lines(path, error), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        key, sep, value = line.partition("=")
+        key = key.strip()
+        if not sep or not key:
+            raise error(f"{path}:{lineno}: expected 'key = value', got {line!r}")
+        yield lineno, key, value.strip()
+
+
+def read_index_file(path, id_map: dict | None = None) -> np.ndarray:
+    """The node indices listed one per line in ``path``: integers, or raw
+    ids translated through ``id_map`` when it is given. A malformed line
+    or an id that ``id_map`` lacks raises ParseError naming the file."""
     if not os.path.isfile(path):
         raise MissingFile(f"split file not found: {path}")
     lines = [line.strip() for line in text_lines(path) if line.strip()]
-    return np.array(_parsed(path, lambda: [int(v) for v in lines]), dtype=np.int64)
-
-
-def _read_meta(path) -> dict:
-    meta = {}
-    if os.path.isfile(path):
-        for lineno, line in enumerate(text_lines(path), start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, sep, value = line.partition("=")
-            if not sep:
-                raise ParseError(f"{path}:{lineno}: expected 'key=value', got {line!r}")
-            meta[key.strip()] = value.strip()
-    return meta
+    lookup = int if id_map is None else id_map.__getitem__
+    try:
+        return np.array([lookup(v) for v in lines], dtype=np.int64)
+    except ValueError as exc:
+        raise ParseError(f"{path}: {exc}") from None
+    except KeyError as exc:
+        raise ParseError(f"{path}: unknown node id {exc}") from None
 
 
 def load_dataset(directory) -> tuple[SparseGraph, Dataset]:
@@ -316,7 +327,9 @@ def load_dataset(directory) -> tuple[SparseGraph, Dataset]:
         if not os.path.isfile(p(required)):
             raise MissingFile(f"missing dataset file: {p(required)}")
 
-    meta = _read_meta(p("meta.txt"))
+    meta = {}
+    if os.path.isfile(p("meta.txt")):
+        meta = {key: value for _, key, value in key_value_lines(p("meta.txt"))}
     features = _parsed(p("features.csv"), np.loadtxt, p("features.csv"), delimiter=",",
                        dtype=np.float64, ndmin=2)
     labels = _parsed(p("labels.csv"), np.loadtxt, p("labels.csv"), dtype=np.int64, ndmin=1)
@@ -340,9 +353,9 @@ def load_dataset(directory) -> tuple[SparseGraph, Dataset]:
         features=features,
         labels=labels,
         n_classes=n_classes,
-        train_idx=_read_index_file(p("splits", "train.txt")),
-        val_idx=_read_index_file(p("splits", "val.txt")),
-        test_idx=_read_index_file(p("splits", "test.txt")),
+        train_idx=read_index_file(p("splits", "train.txt")),
+        val_idx=read_index_file(p("splits", "val.txt")),
+        test_idx=read_index_file(p("splits", "test.txt")),
     )
     return graph, data
 

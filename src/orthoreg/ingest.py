@@ -1,12 +1,14 @@
-"""Converters that produce the canonical dataset directory layout.
+"""Converter from the classic citation-network text dump to the canonical
+dataset directory layout.
 
-Two sources are supported: the classic citation-network text dump (a
-"content" file of ``id feat_1 ... feat_F label`` rows plus a "cites" edge
-file of ``src dst`` id pairs), and the built-in synthetic generator. Raw
-node ids may be arbitrary strings; they are densified in content-file
-order and recorded in a ``node_ids.txt`` sidecar. Splits are either copied
-from user-provided files (raw ids, one per line) or sampled per class with
-a fixed seed.
+The dump is a "content" file of ``id feat_1 ... feat_F label`` rows plus a
+"cites" edge file of ``src dst`` id pairs. Raw node ids may be arbitrary
+strings; they are densified in content-file order and recorded in an
+``original_ids.txt`` sidecar, and the class names in ``label_names.txt``.
+Splits are either copied from user-provided files (raw ids, one per line)
+or sampled per class with a fixed seed. The synthetic generator writes the
+same layout through ``synth.synthetic_dataset`` and
+``graphio.save_dataset``.
 """
 
 from __future__ import annotations
@@ -16,8 +18,8 @@ import os
 import numpy as np
 
 from .errors import MissingFile, ParseError, ShapeMismatch
-from .graphio import Dataset, build_graph, sample_splits, save_dataset, text_lines
-from .synth import synthetic_dataset
+from .graphio import (Dataset, build_graph, read_index_file, sample_splits, save_dataset,
+                      text_lines)
 
 
 def convert_content_cites(
@@ -85,18 +87,9 @@ def convert_content_cites(
     graph = build_graph(n, np.array(src + dst), np.array(dst + src))
 
     if splits_dir is not None:
-        def read_split(name):
-            path = os.path.join(splits_dir, f"{name}.txt")
-            if not os.path.isfile(path):
-                raise MissingFile(f"split file not found: {path}")
-            raw = [line.strip() for line in text_lines(path) if line.strip()]
-            try:
-                return np.array([id_map[r] for r in raw], dtype=np.int64)
-            except KeyError as exc:
-                raise ParseError(f"{path}: unknown node id {exc}") from None
-
         train_idx, val_idx, test_idx = (
-            read_split("train"), read_split("val"), read_split("test"),
+            read_index_file(os.path.join(splits_dir, f"{name}.txt"), id_map)
+            for name in ("train", "val", "test")
         )
     else:
         train_idx, val_idx, test_idx = sample_splits(
@@ -117,9 +110,3 @@ def convert_content_cites(
         fh.write("\n".join(ids) + "\n")
     with open(os.path.join(out_dir, "label_names.txt"), "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(classes) + "\n")
-
-
-def write_synthetic(out_dir, **kwargs) -> None:
-    """Generate and save a synthetic classification dataset."""
-    graph, data = synthetic_dataset(**kwargs)
-    save_dataset(out_dir, graph, data)

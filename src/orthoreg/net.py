@@ -43,7 +43,6 @@ class MlpParams:
     layer_weights: list
     layer_biases: list
     dims: list
-    activation: str = "relu"
 
     @property
     def n_layers(self) -> int:
@@ -54,7 +53,6 @@ class MlpParams:
             layer_weights=[w.copy() for w in self.layer_weights],
             layer_biases=[b.copy() for b in self.layer_biases],
             dims=list(self.dims),
-            activation=self.activation,
         )
 
     def flat_arrays(self):
@@ -119,12 +117,6 @@ def forward(
     logits = h @ params.layer_weights[-1] + params.layer_biases[-1]
     cache = {"inputs": inputs, "h": h, "scale": scale}
     return h, logits, cache
-
-
-def softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
 
 
 def cross_entropy(logits, labels, mask):
@@ -275,10 +267,11 @@ CHECKPOINT_VERSION = 1
 
 def save_checkpoint(params: MlpParams, path) -> None:
     """Write named parameter arrays plus dims/activation/version into one
-    .npz file."""
+    .npz file. The activation is always "relu", the only one forward
+    applies; load_checkpoint rejects a file that names another."""
     payload = {name: arr for name, arr in params.flat_arrays()}
     payload["dims"] = np.asarray(params.dims, dtype=np.int64)
-    payload["activation"] = np.asarray([params.activation])
+    payload["activation"] = np.asarray(["relu"])
     payload["version"] = np.asarray([CHECKPOINT_VERSION], dtype=np.int64)
     np.savez(path, **payload)
 
@@ -324,5 +317,4 @@ def load_checkpoint(path) -> MlpParams:
                 if not np.all(np.isfinite(arr)):
                     raise ShapeMismatch(f"{path}: {name} contains non-finite values")
                 arrays.append(arr)
-    return MlpParams(layer_weights=weights, layer_biases=biases, dims=dims,
-                     activation=activation)
+    return MlpParams(layer_weights=weights, layer_biases=biases, dims=dims)

@@ -215,8 +215,8 @@ def orthoreg_loss(h, a_rw: NormalizedOperator, spec: RegularizerSpec):
     through S)."""
     if spec.kind != "orthoreg":
         raise ShapeMismatch(f"spec.kind must be 'orthoreg', got {spec.kind!r}")
-    h = as_matrix(h, "h")
-    # S itself is not kept: the backward pass reads only its centered copy
+    # neighborhood_summary and cross_correlation check h themselves; S is
+    # not kept, because the backward pass reads only its centered copy
     cc = cross_correlation(h, neighborhood_summary(h, a_rw, spec.hops, spec.pooling),
                            center=spec.center_correlation)
     c = cc.c

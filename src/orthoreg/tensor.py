@@ -1,6 +1,6 @@
 """Dense numerical kernels: covariance/correlation, symmetric
-eigendecomposition, singular values, the symmetric matrix exponential, and
-the normalized eigenvalue sum (NESum) collapse metric.
+eigendecomposition, singular values, and the normalized eigenvalue sum
+(NESum) collapse metric.
 
 Matrices are plain 2-D float64 ``numpy.ndarray`` objects throughout the
 package; every public operation validates shape and finiteness at its
@@ -114,12 +114,6 @@ def singular_values(w) -> np.ndarray:
     w = as_matrix(w, "w")
     sv = np.linalg.svd(w, compute_uv=False)
     return np.concatenate([sv, np.zeros(w.shape[1] - sv.size)])
-
-
-def expm_sym(p, t: float) -> np.ndarray:
-    """exp(P t) for symmetric P via full eigendecomposition."""
-    vals, vecs = sym_eig(p)
-    return (vecs * np.exp(vals * t)) @ vecs.T
 
 
 def nesum(eigenvalues) -> float:

@@ -15,8 +15,7 @@ from hypothesis import given, settings, strategies as st
 from orthoreg import cli, collapse, errors, synth
 from orthoreg.cli import main
 from orthoreg.experiments import TrainConfig
-from orthoreg.graphio import load_dataset, normalize
-from orthoreg.ingest import write_synthetic
+from orthoreg.graphio import load_dataset, normalize, save_dataset
 from orthoreg.reg import RegularizerSpec
 from orthoreg.tensor import sym_eigvals
 
@@ -24,10 +23,10 @@ from orthoreg.tensor import sym_eigvals
 @pytest.fixture(scope="module")
 def dataset_dir(tmp_path_factory):
     path = tmp_path_factory.mktemp("data") / "synth"
-    write_synthetic(
-        str(path), n_nodes=120, n_classes=3, n_features=12,
+    save_dataset(str(path), *synth.synthetic_dataset(
+        n_nodes=120, n_classes=3, n_features=12,
         labels_per_class=10, n_val=24, n_test=45, seed=4,
-    )
+    ))
     return str(path)
 
 
@@ -130,6 +129,15 @@ class TestIngest:
         code, _, err = run_cli(capsys, *argv, "--out", str(tmp_path / "bad"))
         assert code == 3
         assert str(split_dir / "test.txt") in err and "nosuch" in err
+
+    def test_synthetic_rejects_content_cites_flags_naming_each(self, tmp_path, capsys):
+        out = tmp_path / "ds"
+        code, stdout, err = run_cli(capsys, "ingest", "--kind", "synthetic",
+                                    "--splits", "/nonexistent", "--content", "nope.content",
+                                    "--out", str(out))
+        assert code == 2
+        assert "--splits" in err and "--content" in err and "--cites" not in err
+        assert stdout == "" and not out.exists()
 
     def test_missing_inputs_rejected(self, tmp_path, capsys):
         code, _, err = run_cli(capsys, "ingest", "--kind", "content-cites",
@@ -258,6 +266,15 @@ class TestTrain:
                                "--config", str(cfg), "--out", str(tmp_path / "o"))
         assert code == 2
         assert "run.cfg" in err
+
+    def test_config_line_without_equals_exits_2_naming_file_and_line(
+            self, dataset_dir, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("# run\nepochs = 3\ntrials 1\n")
+        code, _, err = run_cli(capsys, "train", "--dataset", dataset_dir,
+                               "--config", str(cfg), "--out", str(tmp_path / "o"))
+        assert code == 2
+        assert f"{cfg}:3:" in err
 
     def test_config_file_unknown_key_exits_2(self, dataset_dir, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -566,6 +583,19 @@ class TestSimulate:
         assert code == 0
         verdict = json.loads(Path(out, "verdict.json").read_text())
         assert verdict["monotone_ratio_ok"] is True
+
+
+SHARED_RUN_FLAGS = ["--dataset", "--out", "--alpha", "--beta", "--lam", "--T", "--epochs",
+                    "--seed", "--trials"]
+
+
+@pytest.mark.parametrize("command", ["train", "suite"])
+def test_help_lists_the_shared_run_flags(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    listed = capsys.readouterr().out.split()
+    assert [flag for flag in SHARED_RUN_FLAGS if flag not in listed] == []
 
 
 class TestSuite:

@@ -16,10 +16,25 @@ from orthoreg.collapse import (
     whiten,
     write_dynamics_csv,
 )
-from orthoreg.errors import Divergence, InputNotWhitened, ShapeMismatch, UnstableStepSize
+from orthoreg.errors import (Divergence, InputNotWhitened, NotSymmetric, ShapeMismatch,
+                             UnstableStepSize)
 from orthoreg.graphio import NormalizedOperator, graph_from_edges, normalize
 from orthoreg.synth import ring_graph, sbm_graph
 from orthoreg.tensor import EigenReport, covariance, nesum, singular_values, sym_eigvals
+
+
+def _taylor_expm(a: np.ndarray, terms: int = 30, squarings: int = 6) -> np.ndarray:
+    """Scaled-and-squared truncated Taylor series; independent of the
+    eigendecomposition route."""
+    small = a / (2.0**squarings)
+    out = np.eye(a.shape[0])
+    term = np.eye(a.shape[0])
+    for k in range(1, terms + 1):
+        term = term @ small / k
+        out = out + term
+    for _ in range(squarings):
+        out = out @ out
+    return out
 
 
 def whitened_features(rng, n, d):
@@ -101,6 +116,38 @@ class TestClosedFormTrajectory:
             closed_form_trajectory(p, np.eye(3), [0.5, 1.0])
         with pytest.raises(ValueError):
             closed_form_trajectory(p, np.eye(3), [0.0, 1.0, 1.0])
+
+    # from W(0) = I the snapshot states are exp(P t) itself
+    def test_expm_zero_time_is_identity(self, rng):
+        p = rng.standard_normal((5, 5))
+        p = (p + p.T) / 2
+        run = closed_form_trajectory(p, np.eye(5), [0.0])
+        np.testing.assert_allclose(run.snapshots[0].state, np.eye(5), atol=1e-12)
+
+    def test_expm_diagonal_input(self):
+        p = np.diag([1.0, -2.0, 0.5])
+        run = closed_form_trajectory(p, np.eye(3), [0.0, 0.7])
+        np.testing.assert_allclose(
+            run.snapshots[1].state, np.diag(np.exp(0.7 * np.array([1.0, -2.0, 0.5]))),
+            atol=1e-12,
+        )
+
+    def test_expm_matches_truncated_taylor(self, rng):
+        p = rng.standard_normal((4, 4))
+        p = (p + p.T) / 2
+        run = closed_form_trajectory(p, np.eye(4), [0.0, 0.1])
+        np.testing.assert_allclose(run.snapshots[1].state, _taylor_expm(0.1 * p), atol=1e-8)
+
+    def test_expm_semigroup_property(self, rng):
+        p = rng.standard_normal((4, 4))
+        p = (p + p.T) / 2
+        run = closed_form_trajectory(p, np.eye(4), [0.0, 0.3, 0.45, 0.3 + 0.45])
+        at = [s.state for s in run.snapshots]
+        np.testing.assert_allclose(at[3], at[1] @ at[2], atol=1e-8)
+
+    def test_expm_rejects_asymmetric(self, rng):
+        with pytest.raises(NotSymmetric):
+            closed_form_trajectory(rng.standard_normal((3, 3)), np.eye(3), [0.0, 1.0])
 
 
 class TestGdLinearTrajectory:
@@ -208,7 +255,7 @@ def _run_from_sv(rows) -> DynamicsRun:
             Snapshot(step=k, state=np.diag(sv), singular_values=sv,
                      eigen_report=EigenReport(epoch=k, eigenvalues=lam, nesum=nesum(lam)))
         )
-    return DynamicsRun(trajectory_kind="closed_form_expm", snapshots=snaps)
+    return DynamicsRun(snaps)
 
 
 class TestVerifyRatioMonotonicity:

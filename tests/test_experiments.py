@@ -379,6 +379,15 @@ class TestEvaluate:
             with pytest.raises(ShapeMismatch, match="idx"):
                 evaluate(params, data.features, data.labels, idx)
 
+    @pytest.mark.parametrize("labels, idx, bad", [
+        ([0, 1, -1, 1, 0], [0, 1, 2], "label -1"),
+        ([0, 1, 7, 1, 0], [2, 0], "label 7"),
+    ])
+    def test_unscorable_label_rejected_naming_idx(self, labels, idx, bad):
+        params = init_mlp([3, 2], seed=0)
+        with pytest.raises(ShapeMismatch, match=f"idx selects row 2, whose {bad}"):
+            evaluate(params, np.ones((5, 3)), np.array(labels), idx)
+
     def test_forwards_only_the_scored_rows(self, synthetic_problem, monkeypatch):
         graph, data = sparse_problem(synthetic_problem)
         params = init_mlp([data.n_features, 8, data.n_classes], seed=0)

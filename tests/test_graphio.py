@@ -129,6 +129,22 @@ class TestDatasetRoundTrip:
         with pytest.raises(ParseError, match=r"meta\.txt:2:"):
             load_dataset(tmp_path / "ds")
 
+    def test_meta_inline_comment_ignored(self, tmp_path, synthetic_problem):
+        graph, data = synthetic_problem
+        save_dataset(tmp_path / "ds", graph, data)
+        write(tmp_path / "ds" / "meta.txt",
+              f"# counts\nn_nodes = {graph.n_nodes}  # all of them\n"
+              f"n_classes={data.n_classes + 2}# two unused\n")
+        _, loaded = load_dataset(tmp_path / "ds")
+        assert loaded.n_classes == data.n_classes + 2
+
+    def test_meta_empty_key_rejected_naming_file_and_line(self, tmp_path, synthetic_problem):
+        graph, data = synthetic_problem
+        save_dataset(tmp_path / "ds", graph, data)
+        write(tmp_path / "ds" / "meta.txt", f"n_nodes={graph.n_nodes}\n\n= 5\n")
+        with pytest.raises(ParseError, match=r"meta\.txt:3: expected 'key = value'"):
+            load_dataset(tmp_path / "ds")
+
     def test_unlabeled_train_node_rejected(self):
         with pytest.raises(ShapeMismatch):
             Dataset(

@@ -19,7 +19,6 @@ from orthoreg.net import (
     init_mlp,
     load_checkpoint,
     save_checkpoint,
-    softmax,
 )
 from orthoreg.synth import sbm_graph
 
@@ -32,7 +31,8 @@ class TestForward:
         x = rng.standard_normal((6, 4))
         _, logits, _ = forward(params, x)
         np.testing.assert_array_equal(logits, np.zeros((6, 3)))
-        np.testing.assert_allclose(softmax(logits), np.full((6, 3), 1 / 3), atol=1e-15)
+        loss, _ = cross_entropy(logits, np.arange(6) % 3, np.arange(6))
+        assert loss == pytest.approx(np.log(3.0), abs=1e-15)
 
     def test_identity_encoder_passes_positive_input_through(self, rng):
         params = init_mlp([3, 3, 2], seed=0)
@@ -95,7 +95,10 @@ class TestForward:
         params = init_mlp([4, 8, 3], seed=1)
         x = rng.standard_normal((10, 4)) * 50.0
         _, logits, _ = forward(params, x)
-        np.testing.assert_allclose(softmax(logits).sum(axis=1), 1.0, atol=1e-12)
+        # each gradient row is (softmax - one-hot) / n, so it sums to 0
+        # exactly when the softmax row sums to 1
+        _, grad = cross_entropy(logits, np.arange(10) % 3, np.arange(10))
+        np.testing.assert_allclose(grad.sum(axis=1), 0.0, atol=1e-12)
 
 
 class TestCrossEntropy:

@@ -12,7 +12,6 @@ from orthoreg.tensor import (
     correlation,
     covariance,
     eigen_report,
-    expm_sym,
     nesum,
     singular_values,
     spmm,
@@ -262,49 +261,6 @@ class TestSingularValues:
         k = min(a.size, b.size)
         np.testing.assert_allclose(a[:k], b[:k], atol=1e-10)
         assert np.all(a[k:] < 1e-10)
-
-
-def _taylor_expm(a: np.ndarray, terms: int = 30, squarings: int = 6) -> np.ndarray:
-    """Scaled-and-squared truncated Taylor series; independent of the
-    eigendecomposition route."""
-    small = a / (2.0**squarings)
-    out = np.eye(a.shape[0])
-    term = np.eye(a.shape[0])
-    for k in range(1, terms + 1):
-        term = term @ small / k
-        out = out + term
-    for _ in range(squarings):
-        out = out @ out
-    return out
-
-
-class TestExpmSym:
-    def test_zero_time_is_identity(self, rng):
-        p = rng.standard_normal((5, 5))
-        p = (p + p.T) / 2
-        np.testing.assert_allclose(expm_sym(p, 0.0), np.eye(5), atol=1e-12)
-
-    def test_diagonal_input(self):
-        p = np.diag([1.0, -2.0, 0.5])
-        np.testing.assert_allclose(
-            expm_sym(p, 0.7), np.diag(np.exp(0.7 * np.array([1.0, -2.0, 0.5]))), atol=1e-12
-        )
-
-    def test_matches_truncated_taylor(self, rng):
-        p = rng.standard_normal((4, 4))
-        p = (p + p.T) / 2
-        np.testing.assert_allclose(expm_sym(p, 0.1), _taylor_expm(0.1 * p), atol=1e-8)
-
-    def test_semigroup_property(self, rng):
-        p = rng.standard_normal((4, 4))
-        p = (p + p.T) / 2
-        lhs = expm_sym(p, 0.3 + 0.45)
-        rhs = expm_sym(p, 0.3) @ expm_sym(p, 0.45)
-        np.testing.assert_allclose(lhs, rhs, atol=1e-8)
-
-    def test_rejects_asymmetric(self, rng):
-        with pytest.raises(NotSymmetric):
-            expm_sym(rng.standard_normal((3, 3)), 1.0)
 
 
 class TestNesum:
