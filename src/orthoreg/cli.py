@@ -21,18 +21,18 @@ line. ``ORTHOREG_THREADS`` caps trial-level parallelism.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 
 from . import collapse, experiments, ingest, synth
 from .errors import ConfigError, OrthoRegError
 from .experiments import TrainConfig
-from .graphio import key_value_lines, load_dataset, normalize, save_dataset
+from .graphio import (key_value_lines, load_dataset, normalize, save_dataset, write_csv,
+                      write_json, write_lines)
 from .net import save_checkpoint
 from .reg import POOL_AVERAGE, POOL_SECOND_HOP, REG_KINDS, RegularizerSpec
 from .tensor import sym_eigvals
@@ -106,10 +106,8 @@ def _write_resolved(out_dir, merged: dict, config: TrainConfig | None = None) ->
     for k, v in merged.items():
         if k in ("dataset", "out"):
             lines[k] = v
-    with open(os.path.join(out_dir, "config.resolved"), "w", encoding="utf-8",
-              newline="\n") as fh:
-        for key in sorted(lines):
-            fh.write(f"{key} = {lines[key]}\n")
+    write_lines(os.path.join(out_dir, "config.resolved"),
+                (f"{key} = {lines[key]}" for key in sorted(lines)))
 
 
 def _load(dataset_path: str):
@@ -120,16 +118,8 @@ def _load(dataset_path: str):
 
 def _write_suite_outputs(out_dir, name, rows: list, header: list) -> None:
     os.makedirs(out_dir, exist_ok=True)
-    csv_path = os.path.join(out_dir, f"{name}.csv")
-    with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow(row)
-    json_path = os.path.join(out_dir, f"{name}.json")
-    with open(json_path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump([dict(zip(header, row)) for row in rows], fh, indent=2)
-        fh.write("\n")
+    write_csv(os.path.join(out_dir, f"{name}.csv"), header, rows)
+    write_json(os.path.join(out_dir, f"{name}.json"), [dict(zip(header, row)) for row in rows])
 
 
 def _seed(text: str) -> int:
@@ -197,7 +187,7 @@ def cmd_train(args) -> int:
     report = experiments.run_trials(config, graph, data, on_first_trial=write_artifacts)
     if tuned is not None:
         report.extras["tuned"] = tuned["best"]
-    experiments.write_report_json(report, os.path.join(out_dir, "report.json"))
+    write_json(os.path.join(out_dir, "report.json"), report.to_dict())
     print(json.dumps({"mean_test_acc": report.mean_acc, "std": report.std_acc,
                       "out": out_dir}))
     return 0
@@ -300,17 +290,7 @@ def cmd_simulate(args) -> int:
 
     if args.kind != "free-embedding":
         collapse.write_dynamics_csv(run, os.path.join(out_dir, "dynamics.csv"))
-    verdict_payload = {
-        "kind": args.kind,
-        "monotone_ratio_ok": verdict.monotone_ratio_ok,
-        "vanishing_ratio_estimate": verdict.vanishing_ratio_estimate,
-        "d_split": verdict.d_split,
-        "details": verdict.details,
-    }
-    with open(os.path.join(out_dir, "verdict.json"), "w", encoding="utf-8",
-              newline="\n") as fh:
-        json.dump(verdict_payload, fh, indent=2, default=float)
-        fh.write("\n")
+    write_json(os.path.join(out_dir, "verdict.json"), {"kind": args.kind, **asdict(verdict)})
     _write_resolved(out_dir, {"out": out_dir})
     print(json.dumps({"kind": args.kind, "monotone_ratio_ok": verdict.monotone_ratio_ok,
                       "out": out_dir}))

@@ -25,13 +25,12 @@ the squared weight singular values snapshot by snapshot.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ConfigError, Divergence, InputNotWhitened, ShapeMismatch, UnstableStepSize
-from .graphio import NormalizedOperator, SparseGraph, SYM_KIND, normalize
+from .graphio import NormalizedOperator, SparseGraph, SYM_KIND, normalize, write_csv
 from .reg import RegularizerSpec, cross_correlation, neighborhood_summary, orthoreg_loss
 from .tensor import (
     EigenReport,
@@ -326,11 +325,9 @@ def free_embedding_optimize(
 
 def write_dynamics_csv(run: DynamicsRun, path) -> None:
     """One row per (step, index): step, index, singular_value, eigenvalue,
-    nesum. LF line endings, '.' decimal."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["step", "index", "singular_value", "eigenvalue", "nesum"])
-        for s in run.snapshots:
-            nesum_cell = repr(float(s.eigen_report.nesum))
-            for i, (sv, eig) in enumerate(zip(s.singular_values, s.eigen_report.eigenvalues)):
-                writer.writerow([s.step, i + 1, repr(float(sv)), repr(float(eig)), nesum_cell])
+    nesum."""
+    write_csv(path, ["step", "index", "singular_value", "eigenvalue", "nesum"],
+              ([s.step, i + 1, float(sv), float(eig), float(s.eigen_report.nesum)]
+               for s in run.snapshots
+               for i, (sv, eig) in enumerate(zip(s.singular_values,
+                                                 s.eigen_report.eigenvalues))))

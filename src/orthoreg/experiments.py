@@ -21,7 +21,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import ConfigError, Divergence, EmptyMask, ShapeMismatch
-from .graphio import Dataset, SparseGraph, add_self_loops, mask_edges, normalize, select_isolated
+from .graphio import (Dataset, SparseGraph, add_self_loops, mask_edges, normalize, select_isolated,
+                      write_csv, write_lines)
 from .net import (
     GradientBundle,
     MlpParams,
@@ -628,40 +629,24 @@ def inference_benchmark(
 
 
 # ---------------------------------------------------------------------------
-# output writers (LF endings, '.' decimal, schema documented in the README)
+# output writers (schemas documented in the README; graphio writes the text)
 # ---------------------------------------------------------------------------
 
 
 def write_metrics_jsonl(history: TrainHistory, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for r in history.records:
-            fh.write(
-                json.dumps(
-                    {
-                        "epoch": r.epoch,
-                        "sup_loss": r.sup_loss,
-                        "reg_loss": r.reg_loss,
-                        "val_acc": r.val_acc,
-                        "test_acc": r.test_acc,
-                    }
-                )
-                + "\n"
-            )
+    write_lines(path, (json.dumps({"epoch": r.epoch, "sup_loss": r.sup_loss,
+                                   "reg_loss": r.reg_loss, "val_acc": r.val_acc,
+                                   "test_acc": r.test_acc})
+                       for r in history.records))
 
 
 def write_spectrum_csv(history: TrainHistory, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("epoch,index,ratio,nesum\n")
-        for r in history.records:
-            if r.eigen is None:
-                continue
-            lam = r.eigen.eigenvalues
-            top = max(lam[0], 1e-12)
-            for i, v in enumerate(lam):
-                fh.write(f"{r.epoch},{i + 1},{float(v / top)!r},{float(r.eigen.nesum)!r}\n")
-
-
-def write_report_json(report: RunReport, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(report.to_dict(), fh, indent=2)
-        fh.write("\n")
+    rows = []
+    for r in history.records:
+        if r.eigen is None:
+            continue
+        lam = r.eigen.eigenvalues
+        top = max(lam[0], 1e-12)
+        rows += [[r.epoch, i + 1, float(v / top), float(r.eigen.nesum)]
+                 for i, v in enumerate(lam)]
+    write_csv(path, ["epoch", "index", "ratio", "nesum"], rows)

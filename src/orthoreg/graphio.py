@@ -8,12 +8,18 @@ text: ``edges.txt`` (one "src dst" pair per line, ``#`` comments allowed),
 ``features.csv`` (N x F comma-separated reals, no header), ``labels.csv``
 (one integer per row, -1 = unlabeled), ``splits/{train,val,test}.txt`` (one
 index per line), and an optional ``meta.txt`` of ``key = value`` lines
-(``#`` starts a comment) with ``n_nodes`` / ``n_classes`` overrides. An optional ``node_ids.txt`` sidecar (one
-original id per line) remaps arbitrary ids to dense 0..N-1.
+(``#`` starts a comment) with ``n_nodes`` / ``n_classes`` overrides and no
+other key. An optional ``node_ids.txt`` sidecar (one original id per line)
+remaps arbitrary ids to dense 0..N-1.
+
+Every text file the package writes goes through ``write_lines``,
+``write_csv`` or ``write_json``: UTF-8, LF line ends, a final LF.
 """
 
 from __future__ import annotations
 
+import csv
+import json
 import logging
 import os
 import re
@@ -90,6 +96,29 @@ def text_lines(path, error=ParseError) -> list:
         raise error(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
 
+def write_lines(path, lines) -> None:
+    """Write ``lines`` to ``path`` as UTF-8 text, each ending in LF."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        for line in lines:
+            fh.write(f"{line}\n")
+
+
+def write_csv(path, header, rows) -> None:
+    """Write ``header`` and then ``rows`` to ``path`` as UTF-8 CSV with LF
+    row ends. Float cells are written as ``str(float)``, the shortest text
+    that reads back to the same float."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_json(path, payload) -> None:
+    """Write ``payload`` to ``path`` as JSON indented by 2 with a final LF;
+    numpy scalars that are not Python numbers are written as floats."""
+    write_lines(path, [json.dumps(payload, indent=2, default=float)])
+
+
 def _csr_graph(n_nodes: int, src, dst) -> SparseGraph:
     """The graph whose arcs are the (src, dst) pairs, deduplicated and with
     sorted column indices."""
@@ -135,6 +164,7 @@ def graph_from_edges(n_nodes: int, edges) -> SparseGraph:
 
 
 _HEADER_RE = re.compile(r"n_nodes\s*=\s*(\d+)")
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 def load_edge_list(path, n_nodes: int | None = None, id_map: dict | None = None) -> SparseGraph:
@@ -173,6 +203,8 @@ def load_edge_list(path, n_nodes: int | None = None, id_map: dict | None = None)
             raise ParseError(
                 f"{path}:{lineno}: node ids must be integers: {line!r}"
             ) from None
+        if not (-_INT64_MAX <= u <= _INT64_MAX and -_INT64_MAX <= v <= _INT64_MAX):
+            raise ParseError(f"{path}:{lineno}: node id too large for int64: {line!r}")
         srcs.append(u)
         dsts.append(v)
     if not srcs:
@@ -311,8 +343,14 @@ def read_index_file(path, id_map: dict | None = None) -> np.ndarray:
         return np.array([lookup(v) for v in lines], dtype=np.int64)
     except ValueError as exc:
         raise ParseError(f"{path}: {exc}") from None
+    except OverflowError:
+        raise ParseError(f"{path}: node index too large for int64") from None
     except KeyError as exc:
         raise ParseError(f"{path}: unknown node id {exc}") from None
+
+
+# the keys a meta.txt may set; any other key is a typo, not a comment
+META_KEYS = ("n_nodes", "n_classes")
 
 
 def load_dataset(directory) -> tuple[SparseGraph, Dataset]:
@@ -329,7 +367,10 @@ def load_dataset(directory) -> tuple[SparseGraph, Dataset]:
 
     meta = {}
     if os.path.isfile(p("meta.txt")):
-        meta = {key: value for _, key, value in key_value_lines(p("meta.txt"))}
+        for lineno, key, value in key_value_lines(p("meta.txt")):
+            if key not in META_KEYS:
+                raise ParseError(f"{p('meta.txt')}:{lineno}: unknown key '{key}'")
+            meta[key] = value
     features = _parsed(p("features.csv"), np.loadtxt, p("features.csv"), delimiter=",",
                        dtype=np.float64, ndmin=2)
     labels = _parsed(p("labels.csv"), np.loadtxt, p("labels.csv"), dtype=np.int64, ndmin=1)
@@ -367,14 +408,11 @@ def save_dataset(directory, graph: SparseGraph, data: Dataset) -> None:
     def p(*names):
         return os.path.join(directory, *names)
 
-    with open(p("edges.txt"), "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"# n_nodes={graph.n_nodes}\n")
-        for i, j in graph.undirected_edges():
-            fh.write(f"{i} {j}\n")
+    write_lines(p("edges.txt"), [f"# n_nodes={graph.n_nodes}",
+                                 *(f"{i} {j}" for i, j in graph.undirected_edges())])
     np.savetxt(p("features.csv"), data.features, delimiter=",", fmt="%.10g")
     np.savetxt(p("labels.csv"), data.labels, fmt="%d")
-    with open(p("meta.txt"), "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"n_nodes={graph.n_nodes}\nn_classes={data.n_classes}\n")
+    write_lines(p("meta.txt"), [f"n_nodes={graph.n_nodes}", f"n_classes={data.n_classes}"])
     for name, idx in [
         ("train", data.train_idx),
         ("val", data.val_idx),

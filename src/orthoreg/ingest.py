@@ -17,9 +17,9 @@ import os
 
 import numpy as np
 
-from .errors import MissingFile, ParseError, ShapeMismatch
+from .errors import EmptyGraph, MissingFile, ParseError, ShapeMismatch
 from .graphio import (Dataset, build_graph, read_index_file, sample_splits, save_dataset,
-                      text_lines)
+                      text_lines, write_lines)
 
 
 def convert_content_cites(
@@ -85,6 +85,8 @@ def convert_content_cites(
         src.append(id_map[a])
         dst.append(id_map[b])
     graph = build_graph(n, np.array(src + dst), np.array(dst + src))
+    if graph.n_edges == 0:
+        raise EmptyGraph(f"no edges in {cites_path}: no citation joins two distinct content rows")
 
     if splits_dir is not None:
         train_idx, val_idx, test_idx = (
@@ -106,7 +108,5 @@ def convert_content_cites(
     save_dataset(out_dir, graph, data)
     # provenance sidecars; original_ids is informational (edges.txt already
     # holds dense ids), node_ids.txt is reserved for raw-id edge files
-    with open(os.path.join(out_dir, "original_ids.txt"), "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(ids) + "\n")
-    with open(os.path.join(out_dir, "label_names.txt"), "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(classes) + "\n")
+    write_lines(os.path.join(out_dir, "original_ids.txt"), ids)
+    write_lines(os.path.join(out_dir, "label_names.txt"), classes)

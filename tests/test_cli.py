@@ -130,6 +130,23 @@ class TestIngest:
         assert code == 3
         assert str(split_dir / "test.txt") in err and "nosuch" in err
 
+    def test_content_cites_without_edges_exits_3_before_writing(self, tmp_path, capsys):
+        content, cites = write_content_cites(tmp_path, 40)
+        # one self-citation and one citation of a paper outside the content
+        Path(cites).write_text("paper1 paper1\npaper2 elsewhere\n")
+        split_dir = tmp_path / "splits"
+        split_dir.mkdir()
+        for name, ids in (("train", "paper0\npaper1\npaper2\n"), ("val", "paper3\n"),
+                          ("test", "paper4\n")):
+            (split_dir / f"{name}.txt").write_text(ids)
+        out = tmp_path / "ds"
+        code, stdout, err = run_cli(capsys, "ingest", "--kind", "content-cites",
+                                    "--content", content, "--cites", cites,
+                                    "--splits", str(split_dir), "--out", str(out))
+        assert code == 3
+        assert cites in err and stdout == ""
+        assert not out.exists()
+
     def test_synthetic_rejects_content_cites_flags_naming_each(self, tmp_path, capsys):
         out = tmp_path / "ds"
         code, stdout, err = run_cli(capsys, "ingest", "--kind", "synthetic",
@@ -229,6 +246,9 @@ class TestTrain:
         ("splits/val.txt", None, "x"),
         ("meta.txt", None, "n_classes=four"),
         ("meta.txt", None, "n_classes: 6"),
+        ("meta.txt", None, "n_clases = 5"),
+        ("splits/val.txt", None, "99999999999999999999"),
+        ("edges.txt", None, "0 99999999999999999999"),
     ])
     def test_malformed_dataset_file_exits_3_naming_it(self, dataset_dir, tmp_path, capsys,
                                                       name, line, content):

@@ -29,10 +29,9 @@ from orthoreg.experiments import (
     train,
     tune_coarse_grid,
     write_metrics_jsonl,
-    write_report_json,
     write_spectrum_csv,
 )
-from orthoreg.graphio import mask_edges, normalize, select_isolated
+from orthoreg.graphio import mask_edges, normalize, select_isolated, write_json
 from orthoreg.net import cross_entropy, forward, init_mlp
 from orthoreg.reg import REG_OPERATORS, RegularizerSpec
 from orthoreg.synth import sbm_graph
@@ -754,7 +753,7 @@ class TestWriters:
         graph, data = synthetic_problem
         report = run_trials(small_config("none"), graph, data)
         path = tmp_path / "report.json"
-        write_report_json(report, path)
+        write_json(path, report.to_dict())
         data_out = json.loads(path.read_text())
         assert set(data_out) >= {"mean", "std", "trials", "config", "wall_clock_s"}
         assert len(data_out["trials"]) == 2

@@ -50,6 +50,10 @@ class TestLoadEdgeList:
         with pytest.raises(ParseError, match="integers"):
             load_edge_list(write(tmp_path / "e.txt", "a b\n"))
 
+    def test_id_too_large_for_int64_names_line(self, tmp_path):
+        with pytest.raises(ParseError, match=r"e\.txt:2: node id too large for int64"):
+            load_edge_list(write(tmp_path / "e.txt", "0 1\n0 99999999999999999999\n"))
+
     def test_duplicates_and_reverse_arcs_deduplicated(self, tmp_path):
         g = load_edge_list(write(tmp_path / "e.txt", "0 1\n1 0\n0 1\n"))
         assert g.n_arcs == 2
@@ -143,6 +147,22 @@ class TestDatasetRoundTrip:
         save_dataset(tmp_path / "ds", graph, data)
         write(tmp_path / "ds" / "meta.txt", f"n_nodes={graph.n_nodes}\n\n= 5\n")
         with pytest.raises(ParseError, match=r"meta\.txt:3: expected 'key = value'"):
+            load_dataset(tmp_path / "ds")
+
+    def test_meta_unknown_key_rejected_naming_file_line_and_key(self, tmp_path,
+                                                                synthetic_problem):
+        graph, data = synthetic_problem
+        save_dataset(tmp_path / "ds", graph, data)
+        write(tmp_path / "ds" / "meta.txt", f"n_nodes={graph.n_nodes}\nn_clases = 5\n")
+        with pytest.raises(ParseError, match=r"meta\.txt:2: unknown key 'n_clases'"):
+            load_dataset(tmp_path / "ds")
+
+    def test_split_index_too_large_for_int64_names_file(self, tmp_path, synthetic_problem):
+        graph, data = synthetic_problem
+        save_dataset(tmp_path / "ds", graph, data)
+        with open(tmp_path / "ds" / "splits" / "val.txt", "a", encoding="utf-8") as fh:
+            fh.write("99999999999999999999\n")
+        with pytest.raises(ParseError, match=r"val\.txt: node index too large for int64"):
             load_dataset(tmp_path / "ds")
 
     def test_unlabeled_train_node_rejected(self):
