@@ -38,14 +38,6 @@ from .reg import POOL_AVERAGE, POOL_SECOND_HOP, REG_KINDS, RegularizerSpec
 from .tensor import sym_eigvals
 
 
-def _parse_bool(text: str) -> bool:
-    value = {"true": True, "yes": True, "1": True,
-             "false": False, "no": False, "0": False}.get(text.lower())
-    if value is None:
-        raise ValueError(text)
-    return value
-
-
 # config keys, named as their flags' dests: every RegularizerSpec field
 # (``kind`` spelled ``reg``), every TrainConfig field but the nested spec and
 # the explicit layer dims, and the run's dataset and output directory. A
@@ -53,8 +45,7 @@ def _parse_bool(text: str) -> bool:
 SPEC_KEYS = {"reg" if f.name == "kind" else f.name: f for f in fields(RegularizerSpec)}
 TRAIN_KEYS = {f.name: f for f in fields(TrainConfig) if f.name not in ("regularizer", "dims")}
 CONFIG_KEYS = {
-    **{key: _parse_bool if isinstance(f.default, bool) else type(f.default)
-       for key, f in {**SPEC_KEYS, **TRAIN_KEYS}.items()},
+    **{key: type(f.default) for key, f in {**SPEC_KEYS, **TRAIN_KEYS}.items()},
     "dataset": str,
     "out": str,
 }
@@ -332,8 +323,8 @@ def cmd_suite(args) -> int:
     elif args.name == "coldstart":
         _, reduced, cold = experiments.coldstart_split(graph, data)
         rows = [
-            row("orthoreg", experiments.run_trials(ortho, reduced, cold)),
-            row("mlp", experiments.run_trials(cfg("none"), reduced, cold)),
+            row("orthoreg", experiments.coldstart_experiment(ortho, graph, data)),
+            row("mlp", experiments.coldstart_experiment(cfg("none"), graph, data)),
             row("gcn", experiments.gcn_comparator(reduced, cold, seed=ortho.seed,
                                                   trials=ortho.trials)),
         ]

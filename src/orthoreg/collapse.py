@@ -35,6 +35,7 @@ from .reg import RegularizerSpec, cross_correlation, neighborhood_summary, ortho
 from .tensor import (
     EigenReport,
     as_matrix,
+    correlation,
     covariance,
     eigen_report,
     nesum,
@@ -279,29 +280,23 @@ def free_embedding_optimize(
     lr: float,
     seed: int = 0,
     history_every: int = 50,
-    center: bool = True,
 ):
     """Gradient descent on the cross-correlation loss with the embedding
     entries as the only parameters (1-hop pooling); returns the final
     embeddings and a history of (step, loss, off_diag_norm, smoothness).
-
-    ``center=False`` switches to the uncentered (second-moment) correlation;
-    needed on two-node graphs, where centered 2-row columns standardize to
-    +-(1, -1) and the diagonal cross-correlation is pinned at -1.
     """
     if n != g.n_nodes:
         raise ShapeMismatch(f"n={n} but graph has {g.n_nodes} nodes")
     rng = np.random.default_rng(seed)
     h = rng.standard_normal((n, d))
     a_rw = normalize(g, "rw")
-    spec = RegularizerSpec(kind="orthoreg", alpha=alpha, beta=beta, hops=1,
-                           center_correlation=center)
+    spec = RegularizerSpec(kind="orthoreg", alpha=alpha, beta=beta, hops=1)
 
     def metrics(step, value):
-        auto = cross_correlation(h, h, center=center)
-        off = auto.c - np.diag(np.diag(auto.c))
+        auto = correlation(h)
+        off = auto - np.diag(np.diag(auto))
         summary = neighborhood_summary(h, a_rw, 1)
-        cross = cross_correlation(h, summary, center=center)
+        cross = cross_correlation(h, summary)
         return {
             "step": step,
             "loss": value,

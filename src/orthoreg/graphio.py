@@ -207,8 +207,8 @@ def load_edge_list(path, n_nodes: int | None = None, id_map: dict | None = None)
             raise ParseError(f"{path}:{lineno}: node id too large for int64: {line!r}")
         srcs.append(u)
         dsts.append(v)
-    if not srcs:
-        raise EmptyGraph(f"no edges in {path}")
+    if all(u == v for u, v in zip(srcs, dsts)):
+        raise EmptyGraph(f"no edges in {path} (self-loops are dropped)")
     src = np.array(srcs + dsts, dtype=np.int64)
     dst = np.array(dsts + srcs, dtype=np.int64)
     if n_nodes is None:

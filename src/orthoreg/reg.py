@@ -17,16 +17,16 @@ REG_STRENGTHS lists the strengths each kind reads, and REG_OPERATORS the
 normalized operator it reads (``None`` for none and corr_identity);
 training builds just that operator.
 
-Correlations standardize each column (subtract mean, divide by
-sqrt(variance + CORRELATION_EPS)), but no standardized N x D copy is
-formed: from the centered columns Hc, Sc and their scales std_h, std_s,
-C = Hc^T Sc / (N std_h std_s^T). The backward pass folds the scaling into
-the D x D matrix M = grad_c / (N std_h std_s^T), so dC/dH is
+Correlations standardize each column (see tensor.centered_columns), but
+no standardized N x D copy is formed: from the centered columns Hc, Sc
+and their scales std_h, std_s, C = Hc^T Sc / (N std_h std_s^T). The
+backward pass folds the scaling into the D x D matrix
+M = grad_c / (N std_h std_s^T), so dC/dH is
 Sc M^T - Hc * diag(C grad_c^T) / (N std_h^2): the standardization's
-mean_i(g * z) term is diag(C grad_c^T) / N, and its mean(g) term
-(centered correlations only) vanishes because Sc's columns sum to zero.
-dC/dS is Hc M - Sc * diag(C^T grad_c) / (N std_s^2), so both halves share
-M and C * grad_c: the row sums of the latter weight Hc, its column sums Sc.
+mean_i(g * z) term is diag(C grad_c^T) / N, and its mean(g) term vanishes
+because Sc's columns sum to zero. dC/dS is
+Hc M - Sc * diag(C^T grad_c) / (N std_s^2), so both halves share M and
+C * grad_c: the row sums of the latter weight Hc, its column sums Sc.
 For the cross term the gradient also chains through S's linear dependence
 on H via transposed operator products.
 """
@@ -39,7 +39,7 @@ import numpy as np
 
 from .errors import ConfigError, ShapeMismatch
 from .graphio import LAPLACIAN_KIND, NormalizedOperator, RW_KIND, SYM_KIND
-from .tensor import CORRELATION_EPS, as_matrix, spmm, spmm_t
+from .tensor import as_matrix, centered_columns, spmm, spmm_t
 
 POOL_AVERAGE = "average_1toT"
 POOL_SECOND_HOP = "second_hop_only"
@@ -70,8 +70,6 @@ class RegularizerSpec:
     kinds (REG_KINDS): ``none``, ``laplacian`` (uses lam), ``preg`` (lam),
     ``corr_identity`` (lam), ``orthoreg`` (alpha, beta, hops,
     pooling); REG_STRENGTHS lists the strengths each reads.
-    ``center_correlation=False`` switches the cross-correlation
-    to the uncentered second-moment variant.
     """
 
     kind: str = "none"
@@ -80,7 +78,6 @@ class RegularizerSpec:
     beta: float = 0.0
     hops: int = 2
     pooling: str = POOL_AVERAGE
-    center_correlation: bool = True
 
     def __post_init__(self):
         if self.kind not in REG_KINDS:
@@ -164,14 +161,7 @@ class CrossCorrelation:
         return scale
 
 
-def _centered(m: np.ndarray, center: bool):
-    """The columns of ``m`` less their means (``m`` itself uncentered) and
-    their scales sqrt(mean(column^2) + CORRELATION_EPS)."""
-    mc = m - m.mean(axis=0) if center else m
-    return mc, np.sqrt(np.einsum("ij,ij->j", mc, mc) / m.shape[0] + CORRELATION_EPS)
-
-
-def cross_correlation(h, s, center: bool = True) -> CrossCorrelation:
+def cross_correlation(h, s) -> CrossCorrelation:
     """C = Hc^T Sc / (N std_h std_s^T) on the centered columns; entries are
     bounded by 1 in magnitude (up to the eps guard) by Cauchy-Schwarz."""
     h = as_matrix(h, "h")
@@ -180,8 +170,8 @@ def cross_correlation(h, s, center: bool = True) -> CrossCorrelation:
         raise ShapeMismatch(f"shape mismatch: h {h.shape} vs s {s.shape}")
     if h.shape[0] < 2:
         raise ShapeMismatch("cross_correlation needs at least 2 rows")
-    hc, std_h = _centered(h, center)
-    sc, std_s = (hc, std_h) if s is h else _centered(s, center)
+    hc, std_h = centered_columns(h)
+    sc, std_s = (hc, std_h) if s is h else centered_columns(s)
     c = hc.T @ sc
     cc = CrossCorrelation(c, hc, sc, std_h, std_s)
     c /= cc._scale()
@@ -217,8 +207,7 @@ def orthoreg_loss(h, a_rw: NormalizedOperator, spec: RegularizerSpec):
         raise ShapeMismatch(f"spec.kind must be 'orthoreg', got {spec.kind!r}")
     # neighborhood_summary and cross_correlation check h themselves; S is
     # not kept, because the backward pass reads only its centered copy
-    cc = cross_correlation(h, neighborhood_summary(h, a_rw, spec.hops, spec.pooling),
-                           center=spec.center_correlation)
+    cc = cross_correlation(h, neighborhood_summary(h, a_rw, spec.hops, spec.pooling))
     c = cc.c
     diag = np.diag(c)
     off = c - np.diag(diag)
@@ -231,10 +220,10 @@ def orthoreg_loss(h, a_rw: NormalizedOperator, spec: RegularizerSpec):
     return value, grad_h
 
 
-def corr_identity_reg(h, lam: float, center: bool = True):
+def corr_identity_reg(h, lam: float):
     """lam * sum_{k != k'} C_kk'^2 on the auto-correlation of H (the
     distance to the identity, since the diagonal is pinned at ~1)."""
-    cc = cross_correlation(h, h, center=center)
+    cc = cross_correlation(h, h)
     off = cc.c - np.diag(np.diag(cc.c))
     value = lam * float(np.sum(off * off))
     grad_c = 2.0 * lam * off
@@ -250,7 +239,7 @@ def regularizer_value_grad(h, spec: RegularizerSpec, operators: dict):
     if spec.kind == "none":
         return 0.0, None
     if spec.kind == "corr_identity":
-        return corr_identity_reg(h, spec.lam, center=spec.center_correlation)
+        return corr_identity_reg(h, spec.lam)
     op = operators[REG_OPERATORS[spec.kind]]
     if spec.kind == "laplacian":
         return laplacian_reg(h, op, spec.lam)

@@ -1,4 +1,4 @@
-"""Dense numerical kernels: covariance/correlation, symmetric
+"""Dense numerical kernels: covariance, the centered correlation, symmetric
 eigendecomposition, singular values, and the normalized eigenvalue sum
 (NESum) collapse metric.
 
@@ -68,19 +68,25 @@ def covariance(h) -> np.ndarray:
     return (sig + sig.T) / 2.0
 
 
-def correlation(h) -> np.ndarray:
-    """Column correlation matrix C[k,k'] = Sig[k,k'] / sqrt((Sig[k,k]+eps)(Sig[k',k']+eps))
-    with eps = CORRELATION_EPS.
+def centered_columns(m: np.ndarray):
+    """The columns of ``m`` less their means, and their scales
+    sqrt(mean(column^2) + CORRELATION_EPS). The eps guard keeps a constant
+    column's correlations finite (its row and column go to ~zero instead of
+    0/0)."""
+    mc = m - m.mean(axis=0)
+    return mc, np.sqrt(np.einsum("ij,ij->j", mc, mc) / m.shape[0] + CORRELATION_EPS)
 
-    The eps guard keeps constant columns finite (their row/column goes to
-    ~zero instead of 0/0).
-    """
+
+def correlation(h) -> np.ndarray:
+    """Column correlation matrix C = Hc^T Hc / (N std std^T) on the centered
+    columns Hc and their scales std (see centered_columns)."""
     h = as_matrix(h, "h")
     if h.shape[0] < 2:
         raise ShapeMismatch("correlation needs at least 2 rows")
-    sig = covariance(h)
-    scale = np.sqrt(np.diag(sig) + CORRELATION_EPS)
-    return sig / np.outer(scale, scale)
+    hc, std = centered_columns(h)
+    c = hc.T @ hc
+    c /= np.outer(std, std) * h.shape[0]
+    return c
 
 
 def _check_symmetric(m: np.ndarray, name: str = "matrix") -> np.ndarray:

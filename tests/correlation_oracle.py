@@ -16,29 +16,27 @@ from orthoreg.reg import POOL_SECOND_HOP
 from orthoreg.tensor import CORRELATION_EPS
 
 
-def standardize(m, center):
-    """(Z, std) of the columns of ``m``; uncentered keeps the raw columns."""
-    mean = m.mean(axis=0, keepdims=True) if center else np.zeros((1, m.shape[1]))
-    centered = m - mean
+def standardize(m):
+    """(Z, std) of the columns of ``m``."""
+    centered = m - m.mean(axis=0, keepdims=True)
     std = np.sqrt(np.mean(centered * centered, axis=0, keepdims=True) + CORRELATION_EPS)
     return centered / std, std
 
 
-def standardize_backward(grad_z, z, std, center):
-    if center:
-        grad_z = grad_z - grad_z.mean(axis=0, keepdims=True)
+def standardize_backward(grad_z, z, std):
+    grad_z = grad_z - grad_z.mean(axis=0, keepdims=True)
     return (grad_z - z * np.mean(grad_z * z, axis=0, keepdims=True)) / std
 
 
-def cross_correlation(h, s, center):
+def cross_correlation(h, s):
     """C and a function mapping grad_c to (grad_h, grad_s)."""
     n = h.shape[0]
-    zh, std_h = standardize(h, center)
-    zs, std_s = standardize(s, center)
+    zh, std_h = standardize(h)
+    zs, std_s = standardize(s)
 
     def backward(grad_c):
-        return (standardize_backward(zs @ grad_c.T / n, zh, std_h, center),
-                standardize_backward(zh @ grad_c / n, zs, std_s, center))
+        return (standardize_backward(zs @ grad_c.T / n, zh, std_h),
+                standardize_backward(zh @ grad_c / n, zs, std_s))
 
     return zh.T @ zs / n, backward
 
@@ -58,7 +56,7 @@ def summary(h, a_rw, hops, mode, transpose=False):
 
 def orthoreg_loss(h, a_rw, spec):
     s = summary(h, a_rw, spec.hops, spec.pooling)
-    c, backward = cross_correlation(h, s, spec.center_correlation)
+    c, backward = cross_correlation(h, s)
     diag = np.diag(c)
     off = c - np.diag(diag)
     value = -spec.alpha * float(diag.sum()) + spec.beta * float(np.sum(off * off))
@@ -68,12 +66,12 @@ def orthoreg_loss(h, a_rw, spec):
     return value, grad_h + summary(grad_s, a_rw, spec.hops, spec.pooling, transpose=True)
 
 
-def corr_identity_reg(h, lam, center):
+def corr_identity_reg(h, lam):
     n = h.shape[0]
-    z, std = standardize(h, center)
+    z, std = standardize(h)
     c = z.T @ z / n
     off = c - np.diag(np.diag(c))
     grad_c = 2.0 * lam * off
     # H appears on both sides of C = Z^T Z / N
     grad_z = z @ (grad_c + grad_c.T) / n
-    return lam * float(np.sum(off * off)), standardize_backward(grad_z, z, std, center)
+    return lam * float(np.sum(off * off)), standardize_backward(grad_z, z, std)

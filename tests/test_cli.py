@@ -279,6 +279,17 @@ class TestTrain:
         assert code == 3
         assert name in err
 
+    def test_self_loop_only_edge_list_exits_3_naming_it(self, dataset_dir, tmp_path, capsys):
+        broken = tmp_path / "broken"
+        shutil.copytree(dataset_dir, broken)
+        (broken / "edges.txt").write_text("0 0\n1 1\n")
+        code, stdout, err = run_cli(capsys, "train", "--dataset", str(broken),
+                                    "--out", str(tmp_path / "o"), "--reg", "orthoreg",
+                                    *FAST_TRAIN)
+        assert code == 3
+        assert "edges.txt" in err
+        assert stdout == ""
+
     def test_undecodable_config_file_exits_2_naming_it(self, dataset_dir, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_bytes(b"epochs = 3\n# caf\xe9\n")
@@ -417,20 +428,19 @@ class TestResolution:
         assert (lines["dataset"], lines["out"]) == (dataset_dir, out)
         assert {"lr", "hidden", "reg.hops", "reg.pooling"} <= set(lines)
 
-    def test_bad_boolean_in_config_file_exits_2_naming_key(self, dataset_dir, tmp_path,
-                                                            capsys):
+    def test_removed_center_correlation_key_exits_2(self, dataset_dir, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("center_correlation = ture\n")
+        cfg.write_text("center_correlation = false\n")
         code, _, err = run_cli(capsys, "train", "--dataset", dataset_dir,
                                "--config", str(cfg), "--out", str(tmp_path / "o"))
         assert code == 2
-        assert "center_correlation" in err
+        assert "unknown config key 'center_correlation'" in err
 
     def test_every_field_is_a_config_key_and_round_trips(self, dataset_dir, tmp_path,
                                                           capsys):
         values = {
             "kind": "orthoreg", "lam": 0.25, "alpha": 0.003, "beta": 2e-06, "hops": 3,
-            "pooling": "second_hop_only", "center_correlation": False,
+            "pooling": "second_hop_only",
             "lr": 0.02, "dropout_p": 0.25, "weight_decay": 0.0001, "epochs": 4,
             "hidden": 6, "embedding": 5, "seed": 7, "eigens_every": 2,
             "early_stop_patience": 3, "trials": 1,
@@ -665,12 +675,12 @@ class TestSuite:
         assert labels == ["orthoreg", "mlp", "gcn"]
 
 
-VALID_CONFIG_LINES = ["epochs = 3", "hidden = 8", "lr = 0.01", "center_correlation = false",
+VALID_CONFIG_LINES = ["epochs = 3", "hidden = 8", "lr = 0.01", "beta = 1e-4",
                       "pooling = average_1toT", "", "# a comment", "  trials = 1  # trailing"]
 TYPED_CONFIG_KEYS = sorted(key for key, parse in cli.CONFIG_KEYS.items() if parse is not str)
-# lowercase words none of int, float or the boolean parser accepts
+# lowercase words neither int nor float accepts
 BAD_WORDS = st.from_regex(r"[a-z]{1,6}", fullmatch=True).filter(
-    lambda w: w not in ("nan", "inf", "true", "false", "yes", "no"))
+    lambda w: w not in ("nan", "inf"))
 
 
 @st.composite

@@ -347,14 +347,6 @@ class TestFreeEmbeddingOptimize:
         assert value == pytest.approx(0.0, abs=1e-9)
         np.testing.assert_allclose(grad, 0.0, atol=1e-7)
 
-    def test_two_node_uncentered_reaches_full_agreement(self):
-        g = graph_from_edges(2, [(0, 1)])
-        h, history = free_embedding_optimize(
-            g, 2, 1, alpha=1e-2, beta=0.0, steps=3000, lr=50.0, seed=1,
-            center=False,
-        )
-        assert history[-1]["smoothness"] > 0.999
-
     def test_ring_fixed_point_is_smooth_and_orthogonal(self):
         g = ring_graph(8)
         h, history = free_embedding_optimize(

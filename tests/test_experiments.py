@@ -691,7 +691,7 @@ class TestTuner:
         graph, data = synthetic_problem
         base = TrainConfig(regularizer=RegularizerSpec(
             kind="orthoreg", alpha=0.1, beta=1e-4, hops=3,
-            pooling="second_hop_only", center_correlation=False))
+            pooling="second_hop_only"))
         specs = []
 
         def recording(cfg, graph, data):

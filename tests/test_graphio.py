@@ -59,6 +59,10 @@ class TestLoadEdgeList:
         assert g.n_arcs == 2
         assert g.n_edges == 1
 
+    def test_self_loops_only_raises_naming_file(self, tmp_path):
+        with pytest.raises(EmptyGraph, match="e.txt"):
+            load_edge_list(write(tmp_path / "e.txt", "0 0\n1 1\n"))
+
     def test_self_loops_dropped(self, tmp_path):
         g = load_edge_list(write(tmp_path / "e.txt", "0 0\n0 1\n"))
         assert g.n_arcs == 2

@@ -250,17 +250,6 @@ class TestOrthoregLoss:
         fd = finite_difference(lambda hh: orthoreg_loss(hh, a_rw, spec)[0], h)
         assert rel_err(grad, fd) < 1e-5
 
-    def test_gradient_uncentered_variant(self, rng):
-        g, _ = sbm_graph(9, seed=14)
-        a_rw = normalize(g, "rw")
-        h = rng.standard_normal((9, 3))
-        spec = RegularizerSpec(
-            kind="orthoreg", alpha=1e-2, beta=1e-4, hops=1, center_correlation=False
-        )
-        _, grad = orthoreg_loss(h, a_rw, spec)
-        fd = finite_difference(lambda hh: orthoreg_loss(hh, a_rw, spec)[0], h)
-        assert rel_err(grad, fd) < 1e-5
-
     def test_value_bounded_below(self, rng):
         g, _ = sbm_graph(10, seed=5)
         a_rw = normalize(g, "rw")
@@ -357,15 +346,12 @@ def extrapolated_difference(f, h) -> np.ndarray:
 
 
 class TestGradientProperty:
-    @pytest.mark.parametrize("kind, center", [
-        ("laplacian", True), ("preg", True), ("corr_identity", True),
-        ("corr_identity", False), ("orthoreg", True), ("orthoreg", False),
-    ])
+    @pytest.mark.parametrize("kind", ["laplacian", "preg", "corr_identity", "orthoreg"])
     @settings(max_examples=25, deadline=None, derandomize=True, database=None)
     @given(case=embedding_cases())
-    def test_every_regularizer_matches_central_differences(self, kind, center, case):
+    def test_every_regularizer_matches_central_differences(self, kind, case):
         g, h, settings_ = case
-        spec = RegularizerSpec(kind=kind, center_correlation=center, **settings_)
+        spec = RegularizerSpec(kind=kind, **settings_)
         ops = {op: normalize(g, op) for op in ("laplacian", "sym", "rw")}
         _, grad = regularizer_value_grad(h, spec, ops)
         fd = extrapolated_difference(lambda hh: regularizer_value_grad(hh, spec, ops)[0], h)
@@ -387,13 +373,12 @@ def assert_matches_oracle(h, a_rw, spec):
     """cross_correlation's C and its gradient for a random grad_c,
     orthoreg_loss and corr_identity_reg, each within 1e-10 of the largest
     entry of the standardized-copy route."""
-    center = spec.center_correlation
     n, d = h.shape
     s = neighborhood_summary(h, a_rw, spec.hops, spec.pooling)
     np.testing.assert_allclose(s, oracle.summary(h, a_rw, spec.hops, spec.pooling),
                                rtol=0, atol=1e-12 * max(np.abs(h).max(), 1.0))
-    cc = cross_correlation(h, s, center=center)
-    c_old, backward = oracle.cross_correlation(h, s, center)
+    cc = cross_correlation(h, s)
+    c_old, backward = oracle.cross_correlation(h, s)
     assert oracle_gap(cc.c, c_old) <= 1e-10
     grad_c = np.random.default_rng(n * d).standard_normal((d, d))
     grad_h_old, grad_s_old = backward(grad_c)
@@ -407,27 +392,24 @@ def assert_matches_oracle(h, a_rw, spec):
     assert abs(value - value_old) <= 1e-10 * (spec.alpha * d + spec.beta * d * d)
     assert oracle_gap(grad, grad_old) <= 1e-10
 
-    value, grad = corr_identity_reg(h, spec.lam, center=center)
-    value_old, grad_old = oracle.corr_identity_reg(h, spec.lam, center)
+    value, grad = corr_identity_reg(h, spec.lam)
+    value_old, grad_old = oracle.corr_identity_reg(h, spec.lam)
     assert abs(value - value_old) <= 1e-10 * spec.lam * d * d
     assert oracle_gap(grad, grad_old) <= 1e-10
 
 
 class TestAgainstCorrelationOracle:
-    @pytest.mark.parametrize("center", [True, False])
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(case=embedding_cases(wide=True))
-    def test_moment_route_matches_standardized_copies(self, center, case):
+    def test_moment_route_matches_standardized_copies(self, case):
         g, h, settings_ = case
-        spec = RegularizerSpec(kind="orthoreg", center_correlation=center, **settings_)
+        spec = RegularizerSpec(kind="orthoreg", **settings_)
         assert_matches_oracle(h, normalize(g, "rw"), spec)
 
-    @pytest.mark.parametrize("center", [True, False])
-    def test_collapse_lab_shape(self, center):
+    def test_collapse_lab_shape(self):
         # 400 nodes by a 512-wide embedding, as the collapse lab trains:
         # C has rank at most N - 1 < D
         g, _ = sbm_graph(400, seed=2)
         h = np.maximum(np.random.default_rng(3).standard_normal((400, 512)), 0.0)
-        spec = RegularizerSpec(kind="orthoreg", lam=0.05, alpha=2e-3, beta=1e-6, hops=2,
-                               center_correlation=center)
+        spec = RegularizerSpec(kind="orthoreg", lam=0.05, alpha=2e-3, beta=1e-6, hops=2)
         assert_matches_oracle(h, normalize(g, "rw"), spec)

@@ -7,6 +7,7 @@ from hypothesis.extra import numpy as hnp
 from jacobi_oracle import jacobi_eigh
 from orthoreg.errors import NotSymmetric, ShapeMismatch
 from orthoreg.graphio import NormalizedOperator
+from orthoreg.reg import cross_correlation
 from orthoreg.tensor import (
     EigenReport,
     correlation,
@@ -102,6 +103,15 @@ class TestCorrelation:
         c = correlation(h)
         assert np.all(np.isfinite(c))
         assert abs(c[0, 1]) < 1e-3
+
+    @pytest.mark.parametrize("shape", [(10, 4), (7, 12), (40, 1)])
+    def test_is_the_regularizers_auto_correlation_bit_for_bit(self, rng, shape):
+        h = rng.standard_normal(shape)
+        np.testing.assert_array_equal(correlation(h), cross_correlation(h, h).c)
+
+    def test_one_row_rejected(self):
+        with pytest.raises(ShapeMismatch, match="2 rows"):
+            correlation(np.ones((1, 3)))
 
 
 class TestSymEigvals:
