@@ -645,8 +645,6 @@ def write_spectrum_csv(history: TrainHistory, path) -> None:
     for r in history.records:
         if r.eigen is None:
             continue
-        lam = r.eigen.eigenvalues
-        top = max(lam[0], 1e-12)
-        rows += [[r.epoch, i + 1, float(v / top), float(r.eigen.nesum)]
-                 for i, v in enumerate(lam)]
+        rows += [[r.epoch, i, r.eigen.ratio(i), float(r.eigen.nesum)]
+                 for i in range(1, r.eigen.eigenvalues.size + 1)]
     write_csv(path, ["epoch", "index", "ratio", "nesum"], rows)

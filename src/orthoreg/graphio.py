@@ -4,13 +4,15 @@ transformations the experiments need (edge masking, low-degree isolation).
 Graphs are undirected and stored in canonical CSR form: both arcs of every
 edge are present, column indices are strictly increasing within a row, and
 self-loops are dropped at load time. The dataset directory layout is plain
-text: ``edges.txt`` (one "src dst" pair per line, ``#`` comments allowed),
-``features.csv`` (N x F comma-separated reals, no header), ``labels.csv``
-(one integer per row, -1 = unlabeled), ``splits/{train,val,test}.txt`` (one
-index per line), and an optional ``meta.txt`` of ``key = value`` lines
+text: ``edges.txt`` (two node ids per line), ``features.csv`` (N x F
+comma-separated reals, no header), ``labels.csv`` (one integer per row,
+-1 = unlabeled), ``splits/{train,val,test}.txt`` (one node index in
+[0, N) per line), and an optional ``meta.txt`` of ``key = value`` lines
 (``#`` starts a comment) with ``n_nodes`` / ``n_classes`` overrides and no
-other key. An optional ``node_ids.txt`` sidecar (one original id per line)
-remaps arbitrary ids to dense 0..N-1.
+other key. The node ids in ``edges.txt`` are indices in [0, N), or raw ids
+when the optional ``node_ids.txt`` (one raw id per line) lists them: a raw
+id's index is its order among that file's id lines. These three id files
+skip blank lines and lines starting with ``#`` (see ``id_lines``).
 
 Every text file the package writes goes through ``write_lines``,
 ``write_csv`` or ``write_json``: UTF-8, LF line ends, a final LF.
@@ -22,7 +24,6 @@ import csv
 import json
 import logging
 import os
-import re
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -163,57 +164,66 @@ def graph_from_edges(n_nodes: int, edges) -> SparseGraph:
     return build_graph(n_nodes, src, dst)
 
 
-_HEADER_RE = re.compile(r"n_nodes\s*=\s*(\d+)")
-_INT64_MAX = int(np.iinfo(np.int64).max)
+def id_lines(path, n_fields: int):
+    """(lineno, fields) for each line of the text file ``path`` that is
+    neither blank nor a ``#`` comment, split on whitespace. A line with
+    other than ``n_fields`` fields raises ParseError naming ``path:lineno``."""
+    for lineno, raw in enumerate(text_lines(path), start=1):
+        fields = raw.split()
+        if not fields or fields[0].startswith("#"):
+            continue
+        if len(fields) != n_fields:
+            raise ParseError(
+                f"{path}:{lineno}: expected {n_fields} node id(s), got {len(fields)} fields"
+            )
+        yield lineno, fields
 
 
-def load_edge_list(path, n_nodes: int | None = None, id_map: dict | None = None) -> SparseGraph:
-    """Parse a whitespace-separated edge list into a symmetrized graph.
+def _node_ids(path, n_fields: int, n_nodes: int, id_map: dict | None) -> np.ndarray:
+    """The ids on the id lines of ``path`` as an (lines, n_fields) int64
+    array: integers, or raw ids translated through ``id_map`` when it is
+    given, each in [0, n_nodes). All ids are translated and checked at
+    once; only when that fails are the lines read again, to raise
+    ParseError naming the first bad one."""
+    lookup = int if id_map is None else id_map.__getitem__
 
-    ``# n_nodes=K`` comment headers override the max-id+1 node count, and an
-    explicit ``n_nodes`` argument overrides both. ``id_map`` remaps raw ids
-    to dense ones before bounds are applied.
-    """
+    def dense(tokens):
+        # OverflowError stands for an id outside [0, n_nodes); fromiter
+        # raises it itself for an int beyond int64
+        ids = np.fromiter(map(lookup, tokens), dtype=np.int64, count=len(tokens))
+        if ids.size and (ids.min() < 0 or ids.max() >= n_nodes):
+            raise OverflowError
+        return ids
+
+    try:
+        return dense([t for _, fields in id_lines(path, n_fields) for t in fields]
+                     ).reshape(-1, n_fields)
+    except (KeyError, ValueError, OverflowError):
+        pass
+    for lineno, fields in id_lines(path, n_fields):
+        try:
+            dense(fields)
+            continue
+        except KeyError:
+            reason = "unknown node id"
+        except ValueError:
+            reason = "node ids must be integers"
+        except OverflowError:
+            reason = f"node id outside [0, {n_nodes})"
+        raise ParseError(f"{path}:{lineno}: {reason}: {' '.join(fields)!r}")
+
+
+def load_edge_list(path, n_nodes: int, id_map: dict | None = None) -> SparseGraph:
+    """The symmetrized graph on ``n_nodes`` nodes whose edges are the id
+    lines of ``path``: two node ids each, integers in [0, n_nodes) or raw
+    ids translated through ``id_map``. A bad line raises ParseError naming
+    ``path:lineno``."""
     if not os.path.isfile(path):
         raise MissingFile(f"edge list not found: {path}")
-    srcs, dsts = [], []
-    header_nodes = None
-    for lineno, raw in enumerate(text_lines(path), start=1):
-        line = raw.strip()
-        if line.startswith("#"):
-            m = _HEADER_RE.search(line)
-            if m:
-                header_nodes = int(m.group(1))
-            continue
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise ParseError(
-                f"{path}:{lineno}: expected two node ids, got {len(parts)} fields"
-            )
-        try:
-            if id_map is not None:
-                u, v = id_map[parts[0]], id_map[parts[1]]
-            else:
-                u, v = int(parts[0]), int(parts[1])
-        except KeyError as exc:
-            raise ParseError(f"{path}:{lineno}: unknown node id {exc}") from None
-        except ValueError:
-            raise ParseError(
-                f"{path}:{lineno}: node ids must be integers: {line!r}"
-            ) from None
-        if not (-_INT64_MAX <= u <= _INT64_MAX and -_INT64_MAX <= v <= _INT64_MAX):
-            raise ParseError(f"{path}:{lineno}: node id too large for int64: {line!r}")
-        srcs.append(u)
-        dsts.append(v)
-    if all(u == v for u, v in zip(srcs, dsts)):
+    edges = _node_ids(path, 2, n_nodes, id_map)
+    if not np.any(edges[:, 0] != edges[:, 1]):
         raise EmptyGraph(f"no edges in {path} (self-loops are dropped)")
-    src = np.array(srcs + dsts, dtype=np.int64)
-    dst = np.array(dsts + srcs, dtype=np.int64)
-    if n_nodes is None:
-        n_nodes = header_nodes if header_nodes is not None else int(max(src.max(), dst.max())) + 1
-    return build_graph(n_nodes, src, dst)
+    return graph_from_edges(n_nodes, edges)
 
 
 @dataclass(frozen=True)
@@ -331,22 +341,12 @@ def key_value_lines(path, error=ParseError):
         yield lineno, key, value.strip()
 
 
-def read_index_file(path, id_map: dict | None = None) -> np.ndarray:
-    """The node indices listed one per line in ``path``: integers, or raw
-    ids translated through ``id_map`` when it is given. A malformed line
-    or an id that ``id_map`` lacks raises ParseError naming the file."""
+def read_index_file(path, n_nodes: int, id_map: dict | None = None) -> np.ndarray:
+    """The node indices listed one per id line of ``path``, read like
+    load_edge_list's ids."""
     if not os.path.isfile(path):
         raise MissingFile(f"split file not found: {path}")
-    lines = [line.strip() for line in text_lines(path) if line.strip()]
-    lookup = int if id_map is None else id_map.__getitem__
-    try:
-        return np.array([lookup(v) for v in lines], dtype=np.int64)
-    except ValueError as exc:
-        raise ParseError(f"{path}: {exc}") from None
-    except OverflowError:
-        raise ParseError(f"{path}: node index too large for int64") from None
-    except KeyError as exc:
-        raise ParseError(f"{path}: unknown node id {exc}") from None
+    return _node_ids(path, 1, n_nodes, id_map).ravel()
 
 
 # the keys a meta.txt may set; any other key is a typo, not a comment
@@ -375,15 +375,18 @@ def load_dataset(directory) -> tuple[SparseGraph, Dataset]:
                        dtype=np.float64, ndmin=2)
     labels = _parsed(p("labels.csv"), np.loadtxt, p("labels.csv"), dtype=np.int64, ndmin=1)
     if not np.all(np.isfinite(features)):
-        raise ShapeMismatch("features.csv contains non-finite values")
+        raise ShapeMismatch(f"{p('features.csv')}: contains non-finite values")
 
     id_map = None
     if os.path.isfile(p("node_ids.txt")):
-        id_map = {line.strip(): i
-                  for i, line in enumerate(text_lines(p("node_ids.txt"))) if line.strip()}
+        id_map = {}
+        for lineno, (raw_id,) in id_lines(p("node_ids.txt"), 1):
+            if raw_id in id_map:
+                raise ParseError(f"{p('node_ids.txt')}:{lineno}: duplicate node id {raw_id!r}")
+            id_map[raw_id] = len(id_map)
 
     n_nodes = _parsed(p("meta.txt"), int, meta.get("n_nodes", features.shape[0]))
-    graph = load_edge_list(p("edges.txt"), n_nodes=n_nodes, id_map=id_map)
+    graph = load_edge_list(p("edges.txt"), n_nodes, id_map)
     if features.shape[0] != graph.n_nodes or labels.shape[0] != graph.n_nodes:
         raise ShapeMismatch(
             f"inconsistent node counts: graph={graph.n_nodes} "
@@ -394,9 +397,9 @@ def load_dataset(directory) -> tuple[SparseGraph, Dataset]:
         features=features,
         labels=labels,
         n_classes=n_classes,
-        train_idx=read_index_file(p("splits", "train.txt")),
-        val_idx=read_index_file(p("splits", "val.txt")),
-        test_idx=read_index_file(p("splits", "test.txt")),
+        train_idx=read_index_file(p("splits", "train.txt"), n_nodes),
+        val_idx=read_index_file(p("splits", "val.txt"), n_nodes),
+        test_idx=read_index_file(p("splits", "test.txt"), n_nodes),
     )
     return graph, data
 
@@ -408,8 +411,7 @@ def save_dataset(directory, graph: SparseGraph, data: Dataset) -> None:
     def p(*names):
         return os.path.join(directory, *names)
 
-    write_lines(p("edges.txt"), [f"# n_nodes={graph.n_nodes}",
-                                 *(f"{i} {j}" for i, j in graph.undirected_edges())])
+    write_lines(p("edges.txt"), (f"{i} {j}" for i, j in graph.undirected_edges()))
     np.savetxt(p("features.csv"), data.features, delimiter=",", fmt="%.10g")
     np.savetxt(p("labels.csv"), data.labels, fmt="%d")
     write_lines(p("meta.txt"), [f"n_nodes={graph.n_nodes}", f"n_classes={data.n_classes}"])

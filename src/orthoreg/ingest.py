@@ -18,8 +18,8 @@ import os
 import numpy as np
 
 from .errors import EmptyGraph, MissingFile, ParseError, ShapeMismatch
-from .graphio import (Dataset, build_graph, read_index_file, sample_splits, save_dataset,
-                      text_lines, write_lines)
+from .graphio import (Dataset, graph_from_edges, id_lines, read_index_file, sample_splits,
+                      save_dataset, text_lines, write_lines)
 
 
 def convert_content_cites(
@@ -42,7 +42,7 @@ def convert_content_cites(
         if not os.path.isfile(path):
             raise MissingFile(f"input file not found: {path}")
 
-    ids, rows, label_names = [], [], []
+    ids, rows, label_names, linenos = [], [], [], []
     for lineno, line in enumerate(text_lines(content_path), start=1):
         parts = line.split()
         if not parts:
@@ -50,6 +50,7 @@ def convert_content_cites(
         if len(parts) < 3:
             raise ParseError(f"{content_path}:{lineno}: need id, features, label")
         ids.append(parts[0])
+        linenos.append(lineno)
         try:
             rows.append([float(v) for v in parts[1:-1]])
         except ValueError:
@@ -70,27 +71,20 @@ def convert_content_cites(
     label_of = {name: i for i, name in enumerate(classes)}
     labels = np.array([label_of[name] for name in label_names], dtype=np.int64)
     features = np.asarray(rows, dtype=np.float64)
+    non_finite = np.flatnonzero(~np.isfinite(features).all(axis=1))
+    if non_finite.size:
+        raise ParseError(f"{content_path}:{linenos[non_finite[0]]}: non-finite feature value")
     n = len(ids)
 
-    src, dst = [], []
-    for lineno, line in enumerate(text_lines(cites_path), start=1):
-        parts = line.split()
-        if not parts or parts[0].startswith("#"):
-            continue
-        if len(parts) != 2:
-            raise ParseError(f"{cites_path}:{lineno}: expected two ids")
-        a, b = parts
-        if a not in id_map or b not in id_map:
-            continue  # citations to papers outside the content table
-        src.append(id_map[a])
-        dst.append(id_map[b])
-    graph = build_graph(n, np.array(src + dst), np.array(dst + src))
+    # citations of papers outside the content table are dropped
+    graph = graph_from_edges(n, [(id_map[a], id_map[b]) for _, (a, b) in id_lines(cites_path, 2)
+                                 if a in id_map and b in id_map])
     if graph.n_edges == 0:
         raise EmptyGraph(f"no edges in {cites_path}: no citation joins two distinct content rows")
 
     if splits_dir is not None:
         train_idx, val_idx, test_idx = (
-            read_index_file(os.path.join(splits_dir, f"{name}.txt"), id_map)
+            read_index_file(os.path.join(splits_dir, f"{name}.txt"), n, id_map)
             for name in ("train", "val", "test")
         )
     else:

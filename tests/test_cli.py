@@ -147,6 +147,27 @@ class TestIngest:
         assert cites in err and stdout == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_content_cites_non_finite_feature_exits_3_naming_line(self, tmp_path, capsys,
+                                                                   value):
+        content, cites = write_content_cites(tmp_path, 40)
+        lines = Path(content).read_text().splitlines()
+        assert lines[6] == "paper6 0 0 2 type0"
+        lines[6] = f"paper6 0 {value} 2 type0"
+        Path(content).write_text("\n".join(lines) + "\n")
+        split_dir = tmp_path / "splits"
+        split_dir.mkdir()
+        for name, ids in (("train", "paper0\npaper1\npaper2\n"), ("val", "paper3\n"),
+                          ("test", "paper4\n")):
+            (split_dir / f"{name}.txt").write_text(ids)
+        out = tmp_path / "ds"
+        code, stdout, err = run_cli(capsys, "ingest", "--kind", "content-cites",
+                                    "--content", content, "--cites", cites,
+                                    "--splits", str(split_dir), "--out", str(out))
+        assert code == 3
+        assert f"{content}:7:" in err and stdout == ""
+        assert not out.exists()
+
     def test_synthetic_rejects_content_cites_flags_naming_each(self, tmp_path, capsys):
         out = tmp_path / "ds"
         code, stdout, err = run_cli(capsys, "ingest", "--kind", "synthetic",
@@ -265,6 +286,27 @@ class TestTrain:
                                "--out", str(tmp_path / "o"), *FAST_TRAIN)
         assert code == 3
         assert name in err
+
+    @pytest.mark.parametrize("name, content", [
+        ("edges.txt", "0 120"),
+        ("edges.txt", "-1 0"),
+        ("edges.txt", "0 x"),
+        ("splits/val.txt", "120"),
+        ("splits/val.txt", "-1"),
+        ("splits/val.txt", "1.5"),
+    ])
+    def test_bad_node_id_exits_3_naming_file_and_line(self, dataset_dir, tmp_path, capsys,
+                                                      name, content):
+        broken = tmp_path / "broken"
+        shutil.copytree(dataset_dir, broken)
+        path = broken / name
+        lines = path.read_text().splitlines() + [content]
+        path.write_text("\n".join(lines) + "\n")
+        code, stdout, err = run_cli(capsys, "train", "--dataset", str(broken),
+                                    "--out", str(tmp_path / "o"), *FAST_TRAIN)
+        assert code == 3
+        assert f"{name}:{len(lines)}:" in err
+        assert stdout == ""
 
     @pytest.mark.parametrize("name", ["edges.txt", "features.csv", "meta.txt",
                                       "splits/val.txt"])

@@ -32,7 +32,7 @@ def write(path, text):
 
 class TestLoadEdgeList:
     def test_two_edge_path(self, tmp_path):
-        g = load_edge_list(write(tmp_path / "e.txt", "0 1\n1 2\n"))
+        g = load_edge_list(write(tmp_path / "e.txt", "0 1\n1 2\n"), 3)
         assert g.n_nodes == 3
         assert g.n_arcs == 4
         src, dst = g.arc_endpoints()
@@ -40,50 +40,45 @@ class TestLoadEdgeList:
 
     def test_empty_file_raises(self, tmp_path):
         with pytest.raises(EmptyGraph):
-            load_edge_list(write(tmp_path / "e.txt", "# only comments\n"))
+            load_edge_list(write(tmp_path / "e.txt", "# only comments\n"), 3)
 
     def test_malformed_line_names_line_number(self, tmp_path):
         with pytest.raises(ParseError, match=":2:"):
-            load_edge_list(write(tmp_path / "e.txt", "0 1\n0 1 2\n"))
+            load_edge_list(write(tmp_path / "e.txt", "0 1\n0 1 2\n"), 3)
 
     def test_non_integer_ids_rejected(self, tmp_path):
         with pytest.raises(ParseError, match="integers"):
-            load_edge_list(write(tmp_path / "e.txt", "a b\n"))
+            load_edge_list(write(tmp_path / "e.txt", "a b\n"), 3)
 
     def test_id_too_large_for_int64_names_line(self, tmp_path):
-        with pytest.raises(ParseError, match=r"e\.txt:2: node id too large for int64"):
-            load_edge_list(write(tmp_path / "e.txt", "0 1\n0 99999999999999999999\n"))
+        with pytest.raises(ParseError, match=r"e\.txt:2: node id outside \[0, 3\)"):
+            load_edge_list(write(tmp_path / "e.txt", "0 1\n0 99999999999999999999\n"), 3)
 
     def test_duplicates_and_reverse_arcs_deduplicated(self, tmp_path):
-        g = load_edge_list(write(tmp_path / "e.txt", "0 1\n1 0\n0 1\n"))
+        g = load_edge_list(write(tmp_path / "e.txt", "0 1\n1 0\n0 1\n"), 2)
         assert g.n_arcs == 2
         assert g.n_edges == 1
 
     def test_self_loops_only_raises_naming_file(self, tmp_path):
         with pytest.raises(EmptyGraph, match="e.txt"):
-            load_edge_list(write(tmp_path / "e.txt", "0 0\n1 1\n"))
+            load_edge_list(write(tmp_path / "e.txt", "0 0\n1 1\n"), 2)
 
     def test_self_loops_dropped(self, tmp_path):
-        g = load_edge_list(write(tmp_path / "e.txt", "0 0\n0 1\n"))
+        g = load_edge_list(write(tmp_path / "e.txt", "0 0\n0 1\n"), 2)
         assert g.n_arcs == 2
         assert g.degrees.tolist() == [1.0, 1.0]
 
-    def test_header_overrides_node_count(self, tmp_path):
-        g = load_edge_list(write(tmp_path / "e.txt", "# n_nodes=5\n0 1\n"))
-        assert g.n_nodes == 5
-        assert g.degrees.tolist() == [1.0, 1.0, 0.0, 0.0, 0.0]
-
     def test_missing_file(self, tmp_path):
         with pytest.raises(MissingFile):
-            load_edge_list(tmp_path / "absent.txt")
+            load_edge_list(tmp_path / "absent.txt", 3)
 
     def test_symmetry_invariant(self, tmp_path):
-        g = load_edge_list(write(tmp_path / "e.txt", "0 3\n1 2\n2 3\n"))
+        g = load_edge_list(write(tmp_path / "e.txt", "0 3\n1 2\n2 3\n"), 4)
         a = g.to_scipy()
         assert (a != a.T).nnz == 0
 
     def test_canonical_csr_layout(self, tmp_path):
-        g = load_edge_list(write(tmp_path / "e.txt", "3 0\n2 0\n1 0\n3 1\n"))
+        g = load_edge_list(write(tmp_path / "e.txt", "3 0\n2 0\n1 0\n3 1\n"), 4)
         assert g.row_offsets[0] == 0
         assert g.row_offsets[-1] == g.col_indices.size
         assert np.all(np.diff(g.row_offsets) >= 0)
@@ -166,8 +161,26 @@ class TestDatasetRoundTrip:
         save_dataset(tmp_path / "ds", graph, data)
         with open(tmp_path / "ds" / "splits" / "val.txt", "a", encoding="utf-8") as fh:
             fh.write("99999999999999999999\n")
-        with pytest.raises(ParseError, match=r"val\.txt: node index too large for int64"):
+        with pytest.raises(ParseError, match=r"val\.txt:\d+: node id outside \[0, \d+\)"):
             load_dataset(tmp_path / "ds")
+
+    def test_comment_and_blank_lines_in_split_file_skipped(self, tmp_path, synthetic_problem):
+        graph, data = synthetic_problem
+        save_dataset(tmp_path / "ds", graph, data)
+        val = tmp_path / "ds" / "splits" / "val.txt"
+        val.write_text("# validation nodes\n\n" + val.read_text())
+        _, loaded = load_dataset(tmp_path / "ds")
+        np.testing.assert_array_equal(loaded.val_idx, data.val_idx)
+
+    def test_non_finite_feature_rejected_naming_full_path(self, tmp_path, synthetic_problem):
+        graph, data = synthetic_problem
+        save_dataset(tmp_path / "ds", graph, data)
+        features = data.features.copy()
+        features[3, 1] = np.nan
+        np.savetxt(tmp_path / "ds" / "features.csv", features, delimiter=",")
+        with pytest.raises(ShapeMismatch) as exc:
+            load_dataset(tmp_path / "ds")
+        assert str(tmp_path / "ds" / "features.csv") in str(exc.value)
 
     def test_unlabeled_train_node_rejected(self):
         with pytest.raises(ShapeMismatch):
@@ -187,6 +200,28 @@ class TestDatasetRoundTrip:
                    data.features[:-1], delimiter=",", fmt="%.6g")
         with pytest.raises(ShapeMismatch):
             load_dataset(tmp_path / "ds")
+
+
+def raw_id_dataset(path, node_ids: str):
+    """A 4-node dataset directory whose edges.txt holds the raw-id path
+    a-b-c and whose node_ids.txt is ``node_ids``."""
+    save_dataset(path, graph_from_edges(4, [(0, 1)]),
+                 Dataset(features=np.zeros((4, 2)), labels=np.array([0, 1, 0, 1]), n_classes=2,
+                         train_idx=np.array([0, 1]), val_idx=np.array([2]),
+                         test_idx=np.array([3])))
+    write(path / "edges.txt", "a b\nb c\n")
+    write(path / "node_ids.txt", node_ids)
+    return path
+
+
+class TestNodeIds:
+    def test_raw_id_takes_its_order_among_id_lines(self, tmp_path):
+        graph, _ = load_dataset(raw_id_dataset(tmp_path / "ds", "# raw ids\nd\nc\n\nb\na\n"))
+        assert graph.undirected_edges().tolist() == [[1, 2], [2, 3]]
+
+    def test_duplicate_id_rejected_naming_file_line_and_id(self, tmp_path):
+        with pytest.raises(ParseError, match=r"node_ids\.txt:4: duplicate node id 'b'"):
+            load_dataset(raw_id_dataset(tmp_path / "ds", "a\nb\nc\nb\n"))
 
 
 class TestSampleSplits:

@@ -1,6 +1,7 @@
 """The on-disk text convention of every output (UTF-8, LF line ends, a final
 LF), checked once over the files each subcommand writes, and the rule that
-keeps it in one place: only graphio's writers open a file to write text."""
+keeps text I/O in one place: only graphio's writers open a file to write
+text, and only graphio.text_lines opens one to read it."""
 
 import ast
 from pathlib import Path
@@ -12,8 +13,9 @@ from orthoreg.cli import main
 
 PACKAGE_DIR = Path(orthoreg.__file__).parent
 
-# the functions allowed to open a file for writing, by module file name
-WRITERS = {"graphio.py": {"write_lines", "write_csv"}}
+# the functions allowed to open a file, by module file name, each with the
+# one kind of open it may make
+OPENERS = {"graphio.py": {"text_lines": "read", "write_lines": "write", "write_csv": "write"}}
 
 # numpy's binary archive; every other output is text
 BINARY_OUTPUTS = {".npz"}
@@ -58,7 +60,7 @@ def test_every_text_output_is_utf8_lf_terminated(tmp_path, capsys):
         assert text.endswith("\n"), path
 
 
-def _write_mode(call: ast.Call):
+def _open_mode(call: ast.Call):
     """The mode of an ``open(...)`` call: its constant text, "r" when it is
     not given, or None when it is not a constant."""
     mode = call.args[1] if len(call.args) > 1 else next(
@@ -83,13 +85,14 @@ def _open_sites(tree):
 def test_only_graphio_writers_open_files_to_write(module):
     path = PACKAGE_DIR / module
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-    writers = set()
+    allowed = OPENERS.get(module, {})
+    openers = {}
     for func, call in _open_sites(tree):
-        mode = _write_mode(call)
-        if mode is not None and not set(mode) & set("wax+"):
-            continue
-        assert func in WRITERS.get(module, set()), (
+        mode = _open_mode(call)
+        kind = "read" if mode is not None and not set(mode) & set("wax+") else "write"
+        assert allowed.get(func) == kind, (
             f"{module}:{call.lineno}: open(..., {mode!r}) in {func or 'module scope'}; "
-            "write text through graphio.write_lines, write_csv or write_json")
-        writers.add(func)
-    assert writers == WRITERS.get(module, set())
+            "read text through graphio.text_lines and write it through "
+            "graphio.write_lines, write_csv or write_json")
+        openers[func] = kind
+    assert openers == allowed
