@@ -45,7 +45,7 @@ def convert_content_cites(
     ids, rows, label_names, linenos = [], [], [], []
     for lineno, line in enumerate(text_lines(content_path), start=1):
         parts = line.split()
-        if not parts:
+        if not parts or parts[0].startswith("#"):
             continue
         if len(parts) < 3:
             raise ParseError(f"{content_path}:{lineno}: need id, features, label")

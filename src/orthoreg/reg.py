@@ -29,6 +29,12 @@ Hc M - Sc * diag(C^T grad_c) / (N std_s^2), so both halves share M and
 C * grad_c: the row sums of the latter weight Hc, its column sums Sc.
 For the cross term the gradient also chains through S's linear dependence
 on H via transposed operator products.
+
+Buffers: no caller's H or S is written. The CrossCorrelation owns its
+centered copies Hc and Sc, and ``_backward`` consumes it: once its two
+GEMMs are formed, each diagonal correction is written into the spent Hc
+(and Sc) buffer. ``orthoreg_loss`` drops the CrossCorrelation before the
+adjoint pooling, so Hc and Sc are freed before it allocates.
 """
 
 from __future__ import annotations
@@ -146,7 +152,8 @@ def _pool(product, m, a_rw: NormalizedOperator, hops: int, mode: str):
 @dataclass(frozen=True)
 class CrossCorrelation:
     """D x D cross-correlation of the standardized columns of two matrices,
-    with the centered columns and their scales kept for the backward pass."""
+    with the centered columns and their scales kept for the backward pass,
+    which consumes the centered columns."""
 
     c: np.ndarray
     _hc: np.ndarray = field(repr=False)
@@ -184,17 +191,20 @@ def _backward(cc: CrossCorrelation, grad_c: np.ndarray):
     Hc M - Sc * colsum(C * grad_c) / (N std_s^2), where
     M = grad_c / (N std_h std_s^T). For an auto-correlation (s is h) only
     the first is formed, and the s half is None: the caller folds both
-    halves into grad_c."""
+    halves into grad_c.
+
+    ``cc`` is consumed: after both GEMMs, the corrections overwrite its
+    centered buffers, so it must not be read again."""
     n = cc._hc.shape[0]
     m = cc._scale()
     np.divide(grad_c, m, out=m)
     weighted = cc.c * grad_c
     grad_h = cc._sc @ m.T
-    grad_h -= cc._hc * (weighted.sum(axis=1) / (n * cc._std_h**2))
-    if cc._sc is cc._hc:
-        return grad_h, None
-    grad_s = cc._hc @ m
-    grad_s -= cc._sc * (weighted.sum(axis=0) / (n * cc._std_s**2))
+    auto = cc._sc is cc._hc
+    grad_s = None if auto else cc._hc @ m
+    grad_h -= np.multiply(cc._hc, weighted.sum(axis=1) / (n * cc._std_h**2), out=cc._hc)
+    if not auto:
+        grad_s -= np.multiply(cc._sc, weighted.sum(axis=0) / (n * cc._std_s**2), out=cc._sc)
     return grad_h, grad_s
 
 
@@ -216,6 +226,7 @@ def orthoreg_loss(h, a_rw: NormalizedOperator, spec: RegularizerSpec):
     grad_c = 2.0 * spec.beta * off
     np.fill_diagonal(grad_c, -spec.alpha)
     grad_h, grad_s = _backward(cc, grad_c)
+    del cc  # frees the spent Hc and Sc before the adjoint pooling allocates
     grad_h += _pool(spmm_t, grad_s, a_rw, spec.hops, spec.pooling)
     return value, grad_h
 

@@ -168,6 +168,24 @@ class TestIngest:
         assert f"{content}:7:" in err and stdout == ""
         assert not out.exists()
 
+    def test_content_cites_skips_comment_lines_in_content(self, tmp_path, capsys):
+        content, cites = write_content_cites(tmp_path, 1600)
+        argv = ["ingest", "--kind", "content-cites", "--content", content, "--cites", cites,
+                "--seed", "5", "--out"]
+        code, _, err = run_cli(capsys, *argv, str(tmp_path / "plain"))
+        assert code == 0, err
+        lines = Path(content).read_text().splitlines()
+        lines[:0] = ["# id f1 f2 f3 label"]
+        lines[10:10] = ["  #paper99 is listed below", ""]
+        Path(content).write_text("\n".join(lines) + "\n")
+        code, _, err = run_cli(capsys, *argv, str(tmp_path / "commented"))
+        assert code == 0, err
+        plain = sorted(p for p in (tmp_path / "plain").rglob("*") if p.is_file())
+        assert len(plain) > 4
+        for path in plain:
+            twin = tmp_path / "commented" / path.relative_to(tmp_path / "plain")
+            assert path.read_bytes() == twin.read_bytes(), path.name
+
     def test_synthetic_rejects_content_cites_flags_naming_each(self, tmp_path, capsys):
         out = tmp_path / "ds"
         code, stdout, err = run_cli(capsys, "ingest", "--kind", "synthetic",

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -289,6 +291,89 @@ class TestCorrIdentityReg:
         _, grad = corr_identity_reg(h, 0.9)
         fd = finite_difference(lambda hh: corr_identity_reg(hh, 0.9)[0], h)
         assert rel_err(grad, fd) < 1e-5
+
+
+def reference_backward(cc, grad_c):
+    """reg._backward's formulas with a fresh temporary per correction; ``cc``
+    is left as it was."""
+    n = cc._hc.shape[0]
+    m = grad_c / (np.outer(cc._std_h, cc._std_s) * n)
+    weighted = cc.c * grad_c
+    grad_h = cc._sc @ m.T - cc._hc * (weighted.sum(axis=1) / (n * cc._std_h**2))
+    if cc._sc is cc._hc:
+        return grad_h, None
+    grad_s = cc._hc @ m - cc._sc * (weighted.sum(axis=0) / (n * cc._std_s**2))
+    return grad_h, grad_s
+
+
+HOPS_AND_POOLING = [(hops, pooling) for hops in (1, 2, 3)
+                    for pooling in (reg.POOL_AVERAGE, reg.POOL_SECOND_HOP)]
+
+
+class TestBuffers:
+    """The regularizers reuse the buffers they own, never the caller's, and
+    the reuse does not change a bit of any result."""
+
+    @staticmethod
+    def case(constant_column):
+        g, _ = sbm_graph(30, n_blocks=3, intra_p=0.3, inter_p=0.05, seed=8)
+        h = np.random.default_rng(9).standard_normal((30, 5))
+        if constant_column:
+            h[:, 2] = 1.5
+        return normalize(g, "rw"), h
+
+    @pytest.mark.parametrize("hops,pooling", HOPS_AND_POOLING)
+    def test_regularizers_leave_h_untouched(self, hops, pooling):
+        a_rw, h = self.case(False)
+        before = h.copy()
+        orthoreg_loss(h, a_rw, RegularizerSpec(kind="orthoreg", alpha=1e-2, beta=1e-3,
+                                               hops=hops, pooling=pooling))
+        assert np.array_equal(h, before)
+        corr_identity_reg(h, 0.3)
+        assert np.array_equal(h, before)
+
+    @pytest.mark.parametrize("constant_column", [False, True])
+    @pytest.mark.parametrize("hops,pooling", HOPS_AND_POOLING)
+    def test_cross_backward_is_bit_identical_and_leaves_s_untouched(self, hops, pooling,
+                                                                    constant_column):
+        a_rw, h = self.case(constant_column)
+        s = neighborhood_summary(h, a_rw, hops, pooling)
+        before = s.copy()
+        cc = cross_correlation(h, s)
+        grad_c = np.random.default_rng(hops).standard_normal(cc.c.shape)
+        expected = reference_backward(cc, grad_c)
+        grad_h, grad_s = reg._backward(cc, grad_c)
+        assert np.array_equal(grad_h, expected[0])
+        assert np.array_equal(grad_s, expected[1])
+        assert np.array_equal(s, before)
+
+    @pytest.mark.parametrize("constant_column", [False, True])
+    def test_auto_correlation_backward_is_bit_identical(self, constant_column):
+        _, h = self.case(constant_column)
+        before = h.copy()
+        cc = cross_correlation(h, h)
+        grad_c = np.random.default_rng(4).standard_normal(cc.c.shape)
+        grad_c += grad_c.T
+        expected, _ = reference_backward(cc, grad_c)
+        grad_h, grad_s = reg._backward(cc, grad_c)
+        assert grad_s is None and np.array_equal(grad_h, expected)
+        assert np.array_equal(h, before)
+
+    def test_orthoreg_loss_peak_memory_budget(self):
+        # one call's traced peak above entry is at most 5.5 N x D arrays
+        g, _ = sbm_graph(400, n_blocks=4, intra_p=0.1, inter_p=0.01, seed=3)
+        a_rw = normalize(g, "rw")
+        h = np.random.default_rng(5).standard_normal((400, 64))
+        spec = RegularizerSpec(kind="orthoreg", alpha=2e-3, beta=1e-4, hops=2)
+        orthoreg_loss(h, a_rw, spec)
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            orthoreg_loss(h, a_rw, spec)
+            peak = tracemalloc.get_traced_memory()[1] - entry
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5.5 * h.nbytes, peak / h.nbytes
 
 
 class TestDispatch:
