@@ -492,8 +492,8 @@ def gcn_forward(op, weights, biases, x, dropout_p=0.0, seed=0, train_mode=False)
     x = as_matrix(x, "x")
     if x.shape[0] != op.n_nodes:
         raise ShapeMismatch(f"operator acts on {op.n_nodes} nodes but x has {x.shape[0]} rows")
-    rng = np.random.default_rng(seed)
     scale = 1.0 / (1.0 - dropout_p) if train_mode and dropout_p > 0.0 else None
+    rng = None if scale is None else np.random.default_rng(seed)
     inputs = []
     act = x
     for i, (w, b) in enumerate(zip(weights, biases)):

@@ -434,6 +434,14 @@ class NormalizedOperator:
     n_nodes: int
     matrix: sp.csr_matrix = field(repr=False)
 
+    @cached_property
+    def transposed(self) -> sp.csr_matrix:
+        """The CSR of ``matrix.T``, built on first use (by spmm_t) and kept.
+        Its rows list their columns in ascending order, the order in which
+        a product with ``matrix.T`` sums them, so products agree bit for
+        bit."""
+        return self.matrix.T.tocsr()
+
 
 def normalize(g: SparseGraph, kind: str) -> NormalizedOperator:
     """Build a normalized operator from the structural adjacency."""

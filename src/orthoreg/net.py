@@ -100,8 +100,8 @@ def forward(
         raise ShapeMismatch(
             f"input has {x.shape[1]} features, network expects {params.dims[0]}"
         )
-    rng = np.random.default_rng(seed)
     scale = 1.0 / (1.0 - dropout_p) if train_mode and dropout_p > 0.0 else None
+    rng = None if scale is None else np.random.default_rng(seed)
     inputs = []
     activation = x
     for w, b in zip(params.layer_weights[:-1], params.layer_biases[:-1]):

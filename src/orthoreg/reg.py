@@ -30,11 +30,15 @@ C * grad_c: the row sums of the latter weight Hc, its column sums Sc.
 For the cross term the gradient also chains through S's linear dependence
 on H via transposed operator products.
 
-Buffers: no caller's H or S is written. The CrossCorrelation owns its
-centered copies Hc and Sc, and ``_backward`` consumes it: once its two
-GEMMs are formed, each diagonal correction is written into the spent Hc
-(and Sc) buffer. ``orthoreg_loss`` drops the CrossCorrelation before the
-adjoint pooling, so Hc and Sc are freed before it allocates.
+Buffers: no caller's H or S is written. The CrossCorrelation owns C, its
+centered copies Hc and Sc and the divisor N std_h std_s^T, which
+``cross_correlation`` forms once. ``_backward`` consumes all four: M
+overwrites the divisor and C * grad_c overwrites C, and once its two GEMMs
+are formed, each diagonal correction is written into the spent Hc (and
+Sc) buffer. The losses form grad_c in one copy of C. ``orthoreg_loss``
+drops the CrossCorrelation before the adjoint pooling, so Hc and Sc are
+freed before it allocates; the adjoint multiplies by the operator's kept
+CSR of its transpose (graphio.NormalizedOperator.transposed).
 """
 
 from __future__ import annotations
@@ -92,10 +96,15 @@ class RegularizerSpec:
             value = getattr(self, name)
             if not 0.0 <= value < np.inf:
                 raise ConfigError(f"{name} must be finite and >= 0, got {value!r}")
-        if self.hops < 1:
-            raise ConfigError("hops must be >= 1")
-        if self.pooling not in (POOL_AVERAGE, POOL_SECOND_HOP):
-            raise ConfigError(f"unknown pooling mode: {self.pooling!r}")
+        _check_pooling(self.hops, self.pooling)
+
+
+def _check_pooling(hops: int, mode: str) -> None:
+    """Reject a hop count below 1 or an unknown pooling mode, naming it."""
+    if hops < 1:
+        raise ConfigError(f"hops must be >= 1, got {hops!r}")
+    if mode not in (POOL_AVERAGE, POOL_SECOND_HOP):
+        raise ConfigError(f"unknown pooling mode: {mode!r}")
 
 
 def laplacian_reg(h, lap: NormalizedOperator, lam: float):
@@ -125,12 +134,12 @@ def neighborhood_summary(h, a_rw: NormalizedOperator, hops: int, mode: str = POO
     """Multi-hop neighbor pooling: mean of the 1..T hop propagations in
     ``average_1toT`` mode, or the bare 2-hop propagation in
     ``second_hop_only`` mode (suited to graphs where same-label nodes sit
-    two hops apart). Linear in H; zero rows for isolated nodes."""
+    two hops apart). Linear in H; zero rows for isolated nodes. A hop
+    count below 1 or an unknown mode is a ConfigError."""
+    _check_pooling(hops, mode)
     h = as_matrix(h, "h")
     if a_rw.kind != RW_KIND:
         raise ShapeMismatch(f"neighborhood_summary needs an rw operator, got {a_rw.kind}")
-    if hops < 1:
-        raise ShapeMismatch("hops must be >= 1")
     return _pool(spmm, h, a_rw, hops, mode)
 
 
@@ -152,20 +161,16 @@ def _pool(product, m, a_rw: NormalizedOperator, hops: int, mode: str):
 @dataclass(frozen=True)
 class CrossCorrelation:
     """D x D cross-correlation of the standardized columns of two matrices,
-    with the centered columns and their scales kept for the backward pass,
-    which consumes the centered columns."""
+    with the centered columns, their scales and the divisor
+    N std_h std_s^T kept for the backward pass, which consumes C, the
+    centered columns and the divisor."""
 
     c: np.ndarray
     _hc: np.ndarray = field(repr=False)
     _sc: np.ndarray = field(repr=False)
     _std_h: np.ndarray = field(repr=False)
     _std_s: np.ndarray = field(repr=False)
-
-    def _scale(self) -> np.ndarray:
-        """N std_h std_s^T, the D x D divisor of the correlation."""
-        scale = np.outer(self._std_h, self._std_s)
-        scale *= self._hc.shape[0]
-        return scale
+    _divisor: np.ndarray = field(repr=False)
 
 
 def cross_correlation(h, s) -> CrossCorrelation:
@@ -180,9 +185,10 @@ def cross_correlation(h, s) -> CrossCorrelation:
     hc, std_h = centered_columns(h)
     sc, std_s = (hc, std_h) if s is h else centered_columns(s)
     c = hc.T @ sc
-    cc = CrossCorrelation(c, hc, sc, std_h, std_s)
-    c /= cc._scale()
-    return cc
+    divisor = np.outer(std_h, std_s)
+    divisor *= h.shape[0]
+    c /= divisor
+    return CrossCorrelation(c, hc, sc, std_h, std_s, divisor)
 
 
 def _backward(cc: CrossCorrelation, grad_c: np.ndarray):
@@ -193,12 +199,12 @@ def _backward(cc: CrossCorrelation, grad_c: np.ndarray):
     the first is formed, and the s half is None: the caller folds both
     halves into grad_c.
 
-    ``cc`` is consumed: after both GEMMs, the corrections overwrite its
-    centered buffers, so it must not be read again."""
+    ``cc`` is consumed: M overwrites the divisor, C * grad_c overwrites C,
+    and after both GEMMs the corrections overwrite the centered buffers,
+    so it must not be read again. ``grad_c`` is only read."""
     n = cc._hc.shape[0]
-    m = cc._scale()
-    np.divide(grad_c, m, out=m)
-    weighted = cc.c * grad_c
+    m = np.divide(grad_c, cc._divisor, out=cc._divisor)
+    weighted = np.multiply(cc.c, grad_c, out=cc.c)
     grad_h = cc._sc @ m.T
     auto = cc._sc is cc._hc
     grad_s = None if auto else cc._hc @ m
@@ -206,6 +212,16 @@ def _backward(cc: CrossCorrelation, grad_c: np.ndarray):
     if not auto:
         grad_s -= np.multiply(cc._sc, weighted.sum(axis=0) / (n * cc._std_s**2), out=cc._sc)
     return grad_h, grad_s
+
+
+def _off_diagonal_penalty(c: np.ndarray, weight: float):
+    """weight * sum_{k != k'} C_kk'^2 and its gradient 2 weight C_off (zero
+    diagonal), formed in one copy of C and one square."""
+    grad_c = c.copy()
+    np.fill_diagonal(grad_c, 0.0)
+    value = weight * float(np.sum(grad_c * grad_c))
+    grad_c *= 2.0 * weight
+    return value, grad_c
 
 
 def orthoreg_loss(h, a_rw: NormalizedOperator, spec: RegularizerSpec):
@@ -218,12 +234,8 @@ def orthoreg_loss(h, a_rw: NormalizedOperator, spec: RegularizerSpec):
     # neighborhood_summary and cross_correlation check h themselves; S is
     # not kept, because the backward pass reads only its centered copy
     cc = cross_correlation(h, neighborhood_summary(h, a_rw, spec.hops, spec.pooling))
-    c = cc.c
-    diag = np.diag(c)
-    off = c - np.diag(diag)
-    value = -spec.alpha * float(diag.sum()) + spec.beta * float(np.sum(off * off))
-
-    grad_c = 2.0 * spec.beta * off
+    penalty, grad_c = _off_diagonal_penalty(cc.c, spec.beta)
+    value = -spec.alpha * float(np.diag(cc.c).sum()) + penalty
     np.fill_diagonal(grad_c, -spec.alpha)
     grad_h, grad_s = _backward(cc, grad_c)
     del cc  # frees the spent Hc and Sc before the adjoint pooling allocates
@@ -235,9 +247,7 @@ def corr_identity_reg(h, lam: float):
     """lam * sum_{k != k'} C_kk'^2 on the auto-correlation of H (the
     distance to the identity, since the diagonal is pinned at ~1)."""
     cc = cross_correlation(h, h)
-    off = cc.c - np.diag(np.diag(cc.c))
-    value = lam * float(np.sum(off * off))
-    grad_c = 2.0 * lam * off
+    value, grad_c = _off_diagonal_penalty(cc.c, lam)
     # H fills both slots of the symmetric C, so the two halves of the
     # gradient add up on the D x D side, to one product with Hc
     return value, _backward(cc, grad_c + grad_c.T)[0]

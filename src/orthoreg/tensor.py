@@ -31,7 +31,7 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
         m = m.reshape(-1, 1)
     if m.ndim != 2:
         raise ShapeMismatch(f"{name} must be 2-D, got ndim={m.ndim}")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise ShapeMismatch(f"{name} contains non-finite entries")
     return m
 
@@ -51,13 +51,14 @@ def spmm(op, m) -> np.ndarray:
 
 
 def spmm_t(op, m) -> np.ndarray:
-    """Product with the transposed operator, ``op.T @ m`` (backward passes)."""
+    """Product with the transposed operator, ``op.T @ m`` (backward passes),
+    through the operator's kept CSR of its transpose."""
     m = as_matrix(m)
     if op.n_nodes != m.shape[0]:
         raise ShapeMismatch(
             f"operator acts on {op.n_nodes} nodes but matrix has {m.shape[0]} rows"
         )
-    return np.asarray(op.matrix.T @ m, dtype=np.float64)
+    return np.asarray(op.transposed @ m, dtype=np.float64)
 
 
 def covariance(h) -> np.ndarray:
@@ -73,7 +74,8 @@ def centered_columns(m: np.ndarray):
     sqrt(mean(column^2) + CORRELATION_EPS). The eps guard keeps a constant
     column's correlations finite (its row and column go to ~zero instead of
     0/0)."""
-    mc = m - m.mean(axis=0)
+    # the mean as m.mean(axis=0) forms it, without its Python-level wrapper
+    mc = m - np.add.reduce(m, axis=0) / m.shape[0]
     return mc, np.sqrt(np.einsum("ij,ij->j", mc, mc) / m.shape[0] + CORRELATION_EPS)
 
 

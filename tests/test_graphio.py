@@ -21,7 +21,7 @@ from orthoreg.graphio import (
     select_isolated,
 )
 from orthoreg.synth import star_graph, synthetic_dataset
-from orthoreg.tensor import sym_eigvals
+from orthoreg.tensor import spmm_t, sym_eigvals
 
 
 def write(path, text):
@@ -317,6 +317,15 @@ class TestNormalize:
     def test_unknown_kind(self, triangle):
         with pytest.raises(ValueError):
             normalize(triangle, "bogus")
+
+    def test_transpose_is_built_on_first_spmm_t_and_kept(self, rng):
+        op = normalize(star_graph(4), "rw")
+        assert "transposed" not in vars(op)
+        m = rng.standard_normal((5, 3))
+        first = spmm_t(op, m)
+        kept = op.transposed
+        assert spmm_t(op, m).tobytes() == first.tobytes()
+        assert op.transposed is kept
 
 
 class TestHomophily:

@@ -147,6 +147,13 @@ class TestNeighborhoodSummary:
         s = neighborhood_summary(rng.standard_normal((5, 3)), a_rw, 2)
         np.testing.assert_array_equal(s[4], 0.0)
 
+    @pytest.mark.parametrize("hops,mode,named", [(2, "second_hop", "'second_hop'"),
+                                                 (0, reg.POOL_AVERAGE, "got 0")])
+    def test_rejects_a_bad_setting_naming_it(self, rng, hops, mode, named):
+        a_rw = normalize(path_graph(4), "rw")
+        with pytest.raises(ConfigError, match=named):
+            neighborhood_summary(rng.standard_normal((4, 2)), a_rw, hops, mode)
+
     def test_linearity(self, rng):
         g, _ = sbm_graph(11, seed=3)
         a_rw = normalize(g, "rw")
@@ -306,6 +313,30 @@ def reference_backward(cc, grad_c):
     return grad_h, grad_s
 
 
+def reference_orthoreg_loss(h, a_rw, spec):
+    """orthoreg_loss with a fresh temporary per step, the off-diagonal part
+    as C - diag(diag(C)), and the adjoint pooling as products with
+    ``matrix.T``."""
+    cc = cross_correlation(h, neighborhood_summary(h, a_rw, spec.hops, spec.pooling))
+    diag = np.diag(cc.c)
+    off = cc.c - np.diag(diag)
+    value = -spec.alpha * float(diag.sum()) + spec.beta * float(np.sum(off * off))
+    grad_c = 2.0 * spec.beta * off
+    np.fill_diagonal(grad_c, -spec.alpha)
+    grad_h, grad_s = reference_backward(cc, grad_c)
+    adjoint = reg._pool(lambda op, m: op.matrix.T @ m, grad_s, a_rw, spec.hops,
+                        spec.pooling)
+    return value, grad_h + adjoint
+
+
+def reference_corr_identity_reg(h, lam):
+    """corr_identity_reg with a fresh temporary per step."""
+    cc = cross_correlation(h, h)
+    off = cc.c - np.diag(np.diag(cc.c))
+    grad_c = 2.0 * lam * off
+    return lam * float(np.sum(off * off)), reference_backward(cc, grad_c + grad_c.T)[0]
+
+
 HOPS_AND_POOLING = [(hops, pooling) for hops in (1, 2, 3)
                     for pooling in (reg.POOL_AVERAGE, reg.POOL_SECOND_HOP)]
 
@@ -374,6 +405,43 @@ class TestBuffers:
         finally:
             tracemalloc.stop()
         assert peak <= 5.5 * h.nbytes, peak / h.nbytes
+
+    @pytest.mark.parametrize("constant_column", [False, True])
+    @pytest.mark.parametrize("hops,pooling", HOPS_AND_POOLING)
+    def test_orthoreg_loss_is_bit_identical_to_reference(self, hops, pooling,
+                                                         constant_column):
+        a_rw, h = self.case(constant_column)
+        spec = RegularizerSpec(kind="orthoreg", alpha=1e-2, beta=1e-3, hops=hops,
+                               pooling=pooling)
+        value, grad = orthoreg_loss(h, a_rw, spec)
+        expected_value, expected_grad = reference_orthoreg_loss(h, a_rw, spec)
+        assert value == expected_value and np.array_equal(grad, expected_grad)
+
+    @pytest.mark.parametrize("constant_column", [False, True])
+    def test_corr_identity_reg_is_bit_identical_to_reference(self, constant_column):
+        _, h = self.case(constant_column)
+        value, grad = corr_identity_reg(h, 0.3)
+        expected_value, expected_grad = reference_corr_identity_reg(h, 0.3)
+        assert value == expected_value and np.array_equal(grad, expected_grad)
+
+    @pytest.mark.parametrize("kind,budget", [("orthoreg", 4.75), ("corr_identity", 5.75)])
+    def test_d_dominated_peak_memory_budget(self, kind, budget):
+        # at N = D / 4 the D x D arrays dominate: one call's traced peak
+        # above entry stays within ``budget`` D x D arrays
+        g, _ = sbm_graph(64, n_blocks=4, intra_p=0.3, inter_p=0.05, seed=3)
+        a_rw = normalize(g, "rw")
+        h = np.random.default_rng(5).standard_normal((64, 256))
+        spec = RegularizerSpec(kind=kind, lam=0.3, alpha=2e-3, beta=1e-4, hops=2)
+        regularizer_value_grad(h, spec, {"rw": a_rw})
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            regularizer_value_grad(h, spec, {"rw": a_rw})
+            peak = tracemalloc.get_traced_memory()[1] - entry
+        finally:
+            tracemalloc.stop()
+        d_by_d = h.shape[1] ** 2 * h.itemsize
+        assert peak <= budget * d_by_d, peak / d_by_d
 
 
 class TestDispatch:

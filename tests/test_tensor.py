@@ -6,16 +6,18 @@ from hypothesis.extra import numpy as hnp
 
 from jacobi_oracle import jacobi_eigh
 from orthoreg.errors import NotSymmetric, ShapeMismatch
-from orthoreg.graphio import NormalizedOperator
+from orthoreg.graphio import NormalizedOperator, graph_from_edges, normalize
 from orthoreg.reg import cross_correlation
 from orthoreg.tensor import (
     EigenReport,
+    centered_columns,
     correlation,
     covariance,
     eigen_report,
     nesum,
     singular_values,
     spmm,
+    spmm_t,
     sym_eig,
     sym_eigvals,
 )
@@ -46,6 +48,24 @@ class TestSpmm:
     def test_shape_mismatch(self, rng):
         with pytest.raises(ShapeMismatch):
             spmm(_operator(np.eye(4)), rng.standard_normal((5, 2)))
+
+
+class TestSpmmT:
+    @pytest.mark.parametrize("width", [1, 8, 64])
+    @pytest.mark.parametrize("kind", ["rw", "sym", "laplacian"])
+    def test_kept_transpose_matches_product_with_matrix_t_byte_for_byte(self, rng, kind,
+                                                                         width):
+        # nodes 7 and 8 are isolated: empty rows and columns, and identity
+        # rows in the laplacian
+        g = graph_from_edges(9, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6),
+                                 (6, 0), (1, 5)])
+        op = normalize(g, kind)
+        m = rng.standard_normal((9, width))
+        assert spmm_t(op, m).tobytes() == (op.matrix.T @ m).tobytes()
+
+    def test_shape_mismatch(self, rng):
+        with pytest.raises(ShapeMismatch):
+            spmm_t(_operator(np.eye(4)), rng.standard_normal((5, 2)))
 
 
 class TestCovariance:
@@ -112,6 +132,16 @@ class TestCorrelation:
     def test_one_row_rejected(self):
         with pytest.raises(ShapeMismatch, match="2 rows"):
             correlation(np.ones((1, 3)))
+
+
+class TestCenteredColumns:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(m=st.tuples(st.integers(1, 40), st.integers(1, 9)).flatmap(
+        lambda shape: hnp.arrays(np.float64, shape, elements=st.floats(
+            -1e6, 1e6, allow_nan=False, allow_infinity=False))))
+    def test_centers_as_numpy_mean_does_byte_for_byte(self, m):
+        mc, _ = centered_columns(m)
+        assert mc.tobytes() == (m - m.mean(axis=0)).tobytes()
 
 
 class TestSymEigvals:
