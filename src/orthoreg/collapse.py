@@ -95,7 +95,7 @@ def _w_snapshot(step: int, w: np.ndarray) -> Snapshot:
         step=step,
         state=w.copy(),
         singular_values=sv,
-        eigen_report=EigenReport(epoch=step, eigenvalues=lam, nesum=nesum(lam)),
+        eigen_report=EigenReport(eigenvalues=lam, nesum=nesum(lam)),
     )
 
 
@@ -130,7 +130,6 @@ def gd_linear_trajectory(
 ) -> DynamicsRun:
     """Explicit descent W <- W - 2 eta P W on the smoothness penalty of the
     linear model; requires eta * lambda_max(P) < 0.5 for stability."""
-    x = as_matrix(x, "x")
     w = as_matrix(w0, "w0").copy()
     p = build_p(x, lap)
     lam_max = float(sym_eigvals(p)[0])
@@ -163,7 +162,7 @@ def feature_space_trajectory(
 
     def snap(step):
         return Snapshot(step=step, state=h.copy(), singular_values=singular_values(h),
-                        eigen_report=eigen_report(h, epoch=step))
+                        eigen_report=eigen_report(h))
 
     snaps = [snap(0)]
     for step in range(1, steps + 1):

@@ -34,7 +34,7 @@ from .net import (
     init_mlp,
 )
 from .reg import REG_OPERATORS, REG_STRENGTHS, RegularizerSpec, regularizer_value_grad
-from .tensor import EigenReport, as_matrix, eigen_report, spmm
+from .tensor import EigenReport, as_matrix, eigen_report, spmm, spmm_t
 
 THREADS_ENV = "ORTHOREG_THREADS"
 
@@ -218,8 +218,8 @@ def train(config: TrainConfig, graph: SparseGraph, data: Dataset, network=None):
         sup_loss, grad_logits = cross_entropy(logits, data.labels, data.train_idx)
         reg_loss, grad_h = regularizer_value_grad(h, config.regularizer, operators)
         total = sup_loss + reg_loss
-        if not np.isfinite(total):
-            raise Divergence(f"loss became non-finite at epoch {epoch}")
+        if not (np.isfinite(total) and (grad_h is None or np.all(np.isfinite(grad_h)))):
+            raise Divergence(f"loss or regularizer gradient became non-finite at epoch {epoch}")
         grads = net_backward(params, cache, grad_logits, grad_h)
         adam_step(params, grads, state)
 
@@ -231,7 +231,7 @@ def train(config: TrainConfig, graph: SparseGraph, data: Dataset, network=None):
             h_eval, logits_eval = net_forward(params, x, train_mode=False)[:2]
             logits_eval = logits_eval[scored]
             if eigen_epoch:
-                eig = eigen_report(h_eval, epoch=epoch)
+                eig = eigen_report(h_eval)
             del h_eval
         else:
             logits_eval = forward(params, x_scored, train_mode=False)[1]
@@ -483,9 +483,9 @@ def sgc_comparator(
 
 def gcn_forward(op, weights, biases, x, dropout_p=0.0, seed=0, train_mode=False):
     """Two-or-more layer graph convolution: each layer propagates the linear
-    transform through the normalized operator; ReLU between layers. As in
-    net.forward only ``x`` is checked, so a numerical blow-up inside the
-    layers reaches the logits, where train() reports it as Divergence.
+    transform through spmm, which checks shapes only; ReLU between layers.
+    As in net.forward only ``x`` is checked, so a numerical blow-up inside
+    the layers reaches the logits, where train() reports it as Divergence.
     Dropout acts on each layer's input; the cache holds those inputs and
     the dropout scale, and gcn_backward gates each ReLU with the next
     layer's input, as net.backward does."""
@@ -501,7 +501,7 @@ def gcn_forward(op, weights, biases, x, dropout_p=0.0, seed=0, train_mode=False)
             act = act * (rng.random(act.shape) >= dropout_p)
             act *= scale
         inputs.append(act)
-        act = op.matrix @ (act @ w)
+        act = spmm(op, act @ w)
         act += b
         if i < len(weights) - 1:
             np.maximum(act, 0.0, out=act)
@@ -519,7 +519,7 @@ def gcn_backward(op, weights, cache, grad_logits, weight_decay=0.0):
     for i in reversed(range(len(weights))):
         if i < len(weights) - 1:
             g = g * (inputs[i + 1] > 0.0)
-        back = op.matrix.T @ g
+        back = spmm_t(op, g)
         grad_ws[i] = inputs[i].T @ back
         grad_bs[i] = g.sum(axis=0)
         if weight_decay > 0.0 and i == 0:

@@ -12,7 +12,7 @@ comma-separated reals, no header), ``labels.csv`` (one integer per row,
 other key. The node ids in ``edges.txt`` are indices in [0, N), or raw ids
 when the optional ``node_ids.txt`` (one raw id per line) lists them: a raw
 id's index is its order among that file's id lines. These three id files
-skip blank lines and lines starting with ``#`` (see ``id_lines``).
+skip blank lines and lines starting with ``#`` (see ``field_lines``).
 
 Every text file the package writes goes through ``write_lines``,
 ``write_csv`` or ``write_json``: UTF-8, LF line ends, a final LF.
@@ -164,14 +164,19 @@ def graph_from_edges(n_nodes: int, edges) -> SparseGraph:
     return build_graph(n_nodes, src, dst)
 
 
-def id_lines(path, n_fields: int):
+def field_lines(path):
     """(lineno, fields) for each line of the text file ``path`` that is
-    neither blank nor a ``#`` comment, split on whitespace. A line with
-    other than ``n_fields`` fields raises ParseError naming ``path:lineno``."""
+    neither blank nor a ``#`` comment, split on whitespace."""
     for lineno, raw in enumerate(text_lines(path), start=1):
         fields = raw.split()
-        if not fields or fields[0].startswith("#"):
-            continue
+        if fields and not fields[0].startswith("#"):
+            yield lineno, fields
+
+
+def id_lines(path, n_fields: int):
+    """The field_lines of ``path``; one with other than ``n_fields``
+    fields raises ParseError naming ``path:lineno``."""
+    for lineno, fields in field_lines(path):
         if len(fields) != n_fields:
             raise ParseError(
                 f"{path}:{lineno}: expected {n_fields} node id(s), got {len(fields)} fields"

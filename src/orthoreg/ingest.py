@@ -18,8 +18,8 @@ import os
 import numpy as np
 
 from .errors import EmptyGraph, MissingFile, ParseError, ShapeMismatch
-from .graphio import (Dataset, graph_from_edges, id_lines, read_index_file, sample_splits,
-                      save_dataset, text_lines, write_lines)
+from .graphio import (Dataset, field_lines, graph_from_edges, id_lines, read_index_file,
+                      sample_splits, save_dataset, write_lines)
 
 
 def convert_content_cites(
@@ -43,10 +43,7 @@ def convert_content_cites(
             raise MissingFile(f"input file not found: {path}")
 
     ids, rows, label_names, linenos = [], [], [], []
-    for lineno, line in enumerate(text_lines(content_path), start=1):
-        parts = line.split()
-        if not parts or parts[0].startswith("#"):
-            continue
+    for lineno, parts in field_lines(content_path):
         if len(parts) < 3:
             raise ParseError(f"{content_path}:{lineno}: need id, features, label")
         ids.append(parts[0])

@@ -159,8 +159,9 @@ def backward(
     """Exact gradients of (supervised loss + <external_grad_h, H>) w.r.t.
     every parameter; ``external_grad_h`` is injected at the embedding layer
     and propagated down the encoder. The gradient with respect to the input
-    features is not formed."""
-    grad_logits = as_matrix(grad_logits, "grad_logits")
+    features is not formed. Only the shape of ``external_grad_h`` is
+    checked: train() derives both gradients itself, and its Divergence
+    check has read the loss and the regularizer's gradient."""
     h = cache["h"]
     weight_grads = [None] * params.n_layers
     bias_grads = [None] * params.n_layers
@@ -169,7 +170,6 @@ def backward(
     bias_grads[-1] = grad_logits.sum(axis=0)
     grad_h = grad_logits @ params.layer_weights[-1].T
     if external_grad_h is not None:
-        external_grad_h = as_matrix(external_grad_h, "external_grad_h")
         if external_grad_h.shape != h.shape:
             raise ShapeMismatch(
                 f"external_grad_h shape {external_grad_h.shape} != H shape {h.shape}"

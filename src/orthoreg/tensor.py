@@ -4,11 +4,12 @@ eigendecomposition, singular values, and the normalized eigenvalue sum
 
 Matrices are plain 2-D float64 ``numpy.ndarray`` objects throughout the
 package; every public operation validates shape and finiteness at its
-boundary. Every eigendecomposition goes to LAPACK (``numpy.linalg.eigh``/
-``eigvalsh``) after a symmetry check, and is returned in non-ascending
-order; singular values come from LAPACK's SVD. An independent cyclic
-Jacobi eigensolver under ``tests/`` is the reference these routines are
-checked against.
+boundary, except ``spmm`` and ``spmm_t``, which check shapes only (a
+blow-up reaches train()'s Divergence check). Every eigendecomposition
+goes to LAPACK (``numpy.linalg.eigh``/``eigvalsh``) after a symmetry
+check, and is returned in non-ascending order; singular values come from
+LAPACK's SVD. An independent cyclic Jacobi eigensolver under ``tests/``
+is the reference these routines are checked against.
 """
 
 from __future__ import annotations
@@ -36,29 +37,24 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     return m
 
 
-def spmm(op, m) -> np.ndarray:
-    """Sparse-dense product ``op @ m`` for a normalized graph operator.
-
-    ``op`` is a :class:`orthoreg.graphio.NormalizedOperator`; ``m`` has one
-    row per node.
-    """
-    m = as_matrix(m)
+def _check_rows(op, m: np.ndarray) -> None:
     if op.n_nodes != m.shape[0]:
-        raise ShapeMismatch(
-            f"operator acts on {op.n_nodes} nodes but matrix has {m.shape[0]} rows"
-        )
-    return np.asarray(op.matrix @ m, dtype=np.float64)
+        raise ShapeMismatch(f"operator acts on {op.n_nodes} nodes but matrix has {m.shape[0]} rows")
 
 
-def spmm_t(op, m) -> np.ndarray:
+def spmm(op, m: np.ndarray) -> np.ndarray:
+    """Sparse-dense product ``op @ m`` for a normalized graph operator
+    (:class:`orthoreg.graphio.NormalizedOperator`) and a 2-D float64 array
+    with one row per node; only the row count is checked."""
+    _check_rows(op, m)
+    return op.matrix @ m
+
+
+def spmm_t(op, m: np.ndarray) -> np.ndarray:
     """Product with the transposed operator, ``op.T @ m`` (backward passes),
-    through the operator's kept CSR of its transpose."""
-    m = as_matrix(m)
-    if op.n_nodes != m.shape[0]:
-        raise ShapeMismatch(
-            f"operator acts on {op.n_nodes} nodes but matrix has {m.shape[0]} rows"
-        )
-    return np.asarray(op.transposed @ m, dtype=np.float64)
+    through the operator's kept CSR of its transpose; checked as spmm."""
+    _check_rows(op, m)
+    return op.transposed @ m
 
 
 def covariance(h) -> np.ndarray:
@@ -141,9 +137,8 @@ def nesum(eigenvalues) -> float:
 
 @dataclass(frozen=True)
 class EigenReport:
-    """Sorted correlation-matrix eigenvalues plus NESum at one epoch."""
+    """Sorted correlation-matrix eigenvalues plus NESum."""
 
-    epoch: int
     eigenvalues: np.ndarray
     nesum: float
 
@@ -153,7 +148,7 @@ class EigenReport:
         return float(lam[i - 1] / max(lam[0], NESUM_EPS))
 
 
-def eigen_report(h, epoch: int = 0) -> EigenReport:
+def eigen_report(h) -> EigenReport:
     """Eigen report of the column correlation matrix of ``h``."""
     lam = sym_eigvals(correlation(h))
-    return EigenReport(epoch=int(epoch), eigenvalues=lam, nesum=nesum(lam))
+    return EigenReport(eigenvalues=lam, nesum=nesum(lam))

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from orthoreg import cli, collapse, errors, synth
+from orthoreg import cli, collapse, errors, experiments, synth
 from orthoreg.cli import main
 from orthoreg.experiments import TrainConfig
 from orthoreg.graphio import load_dataset, normalize, save_dataset
@@ -260,6 +260,22 @@ class TestTrain:
                                "--patience", "0")
         assert code == 4
         assert "non-finite" in err
+
+    def test_non_finite_regularizer_gradient_exits_4(self, dataset_dir, tmp_path, capsys,
+                                                     monkeypatch):
+        original = experiments.regularizer_value_grad
+
+        def poisoned(h, spec, operators):
+            value, grad = original(h, spec, operators)
+            grad[0, 0] = np.inf
+            return value, grad
+
+        monkeypatch.setattr(experiments, "regularizer_value_grad", poisoned)
+        code, _, err = run_cli(capsys, "train", "--dataset", dataset_dir,
+                               "--out", str(tmp_path / "o"), "--reg", "orthoreg",
+                               *FAST_TRAIN)
+        assert code == 4
+        assert "regularizer gradient became non-finite at epoch 1" in err
 
     @pytest.mark.parametrize("flag, value, field", [
         ("--dropout", "1.0", "dropout_p"),

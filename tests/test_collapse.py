@@ -253,7 +253,7 @@ def _run_from_sv(rows) -> DynamicsRun:
         lam = sv**2
         snaps.append(
             Snapshot(step=k, state=np.diag(sv), singular_values=sv,
-                     eigen_report=EigenReport(epoch=k, eigenvalues=lam, nesum=nesum(lam)))
+                     eigen_report=EigenReport(eigenvalues=lam, nesum=nesum(lam)))
         )
     return DynamicsRun(snaps)
 

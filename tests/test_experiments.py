@@ -127,6 +127,27 @@ class TestTrainLoop:
         with pytest.raises(EmptyMask, match=f"the {split} split is empty"):
             train(small_config("none"), graph, empty)
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_regularizer_gradient_raises_divergence(self, synthetic_problem,
+                                                               monkeypatch, bad):
+        # net.backward no longer scans the gradient it is handed: the blow-up
+        # is train's to report, as Divergence (exit 4), not as a data error
+        graph, data = synthetic_problem
+        calls = []
+        original = experiments.regularizer_value_grad
+
+        def poisoned(h, spec, operators):
+            value, grad = original(h, spec, operators)
+            calls.append(None)
+            if len(calls) == 2:
+                grad[0, 0] = bad
+            return value, grad
+
+        monkeypatch.setattr(experiments, "regularizer_value_grad", poisoned)
+        cfg = small_config("orthoreg", alpha=0.05, beta=5e-5)
+        with pytest.raises(Divergence, match="regularizer gradient became non-finite at epoch 2"):
+            train(cfg, graph, data)
+
     @pytest.mark.parametrize("kind, strengths, built", [
         ("none", {}, []),
         ("laplacian", {"lam": 0.1}, ["laplacian"]),

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import correlation_oracle as oracle
 from conftest import finite_difference, rel_err
-from orthoreg import reg
+from orthoreg import reg, tensor
 from orthoreg.errors import ConfigError, ShapeMismatch
 from orthoreg.graphio import graph_from_edges, normalize
 from orthoreg.reg import (
@@ -281,6 +281,26 @@ class TestOrthoregLoss:
         value_p, grad_p = orthoreg_loss(h[old_of_new], normalize(g_perm, "rw"), spec)
         assert value_p == pytest.approx(value, rel=1e-10)
         np.testing.assert_allclose(grad_p, grad[old_of_new], atol=1e-10)
+
+    @pytest.mark.parametrize("hops, pooling", [(2, reg.POOL_AVERAGE), (3, reg.POOL_AVERAGE),
+                                               (2, reg.POOL_SECOND_HOP)])
+    def test_scans_for_finiteness_once_per_input(self, rng, monkeypatch, hops, pooling):
+        # h twice (neighborhood_summary and cross_correlation, both public)
+        # and the summary once; the graph products scan nothing
+        calls = []
+        original = tensor.as_matrix
+
+        def counting(a, name="matrix"):
+            calls.append(name)
+            return original(a, name)
+
+        monkeypatch.setattr(tensor, "as_matrix", counting)
+        monkeypatch.setattr(reg, "as_matrix", counting)
+        a_rw = normalize(sbm_graph(12, seed=1)[0], "rw")
+        spec = RegularizerSpec(kind="orthoreg", alpha=1e-2, beta=1e-3, hops=hops,
+                               pooling=pooling)
+        orthoreg_loss(rng.standard_normal((12, 3)), a_rw, spec)
+        assert calls == ["h", "h", "s"]
 
 
 class TestCorrIdentityReg:

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from jacobi_oracle import jacobi_eigh
+from orthoreg import tensor
 from orthoreg.errors import NotSymmetric, ShapeMismatch
 from orthoreg.graphio import NormalizedOperator, graph_from_edges, normalize
 from orthoreg.reg import cross_correlation
@@ -66,6 +67,19 @@ class TestSpmmT:
     def test_shape_mismatch(self, rng):
         with pytest.raises(ShapeMismatch):
             spmm_t(_operator(np.eye(4)), rng.standard_normal((5, 2)))
+
+
+class TestGraphProductsCheckShapesOnly:
+    @pytest.mark.parametrize("product", [spmm, spmm_t])
+    def test_no_finiteness_scan_and_a_blow_up_propagates(self, rng, monkeypatch, product):
+        calls = []
+        monkeypatch.setattr(tensor, "as_matrix", lambda *a, **k: calls.append(a))
+        op = normalize(graph_from_edges(4, [(0, 1), (1, 2), (2, 3)]), "rw")
+        m = rng.standard_normal((4, 3))
+        m[1, 2] = np.inf
+        out = product(op, m)
+        assert calls == []
+        assert np.isinf(out[:, 2]).any() and np.isfinite(out[:, :2]).all()
 
 
 class TestCovariance:
@@ -325,9 +339,8 @@ class TestNesum:
 class TestEigenReport:
     def test_report_fields(self, rng):
         h = rng.standard_normal((20, 4))
-        rep = eigen_report(h, epoch=7)
+        rep = eigen_report(h)
         assert isinstance(rep, EigenReport)
-        assert rep.epoch == 7
         assert np.all(np.diff(rep.eigenvalues) <= 1e-12)
         assert 1.0 <= rep.nesum <= 4.0 + 1e-9
         assert rep.ratio(1) == pytest.approx(1.0)
