@@ -29,7 +29,7 @@ from dataclasses import asdict, fields, replace
 import numpy as np
 
 from . import collapse, experiments, ingest, synth
-from .errors import ConfigError, OrthoRegError
+from .errors import ConfigError, OrthoRegError, check_range, check_ranges
 from .experiments import TrainConfig
 from .graphio import (key_value_lines, load_dataset, normalize, save_dataset, write_csv,
                       write_json, write_lines)
@@ -115,10 +115,10 @@ def _write_suite_outputs(out_dir, name, rows: list, header: list) -> None:
 
 def _seed(text: str) -> int:
     """A ``--seed`` value: numpy's generators take non-negative integers."""
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
+    try:
+        return check_range("seed", int(text))
+    except ConfigError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _flag_values(text: str, parse, flag: str) -> list:
@@ -187,15 +187,12 @@ def cmd_train(args) -> int:
 def _make_graph(args):
     n, seed, kind = args.n, args.seed, args.graph
     if kind == "sbm":
-        graph, _ = synth.sbm_graph(n_nodes=n, seed=seed)
-        return graph
+        return synth.sbm_graph(n_nodes=n, seed=seed)[0]
     if kind == "ring":
         return synth.ring_graph(n)
     if kind == "path":
         return synth.path_graph(n)
-    if kind == "star":
-        return synth.star_graph(n - 1)
-    raise ConfigError(f"unknown graph kind: {kind!r}")
+    return synth.star_graph(n - 1)
 
 
 # The weight-matrix runs judge ratio monotonicity only on snapshots whose
@@ -222,9 +219,7 @@ WEIGHT_RUN_KINDS = ("closed-form", "gd-linear")
 def cmd_simulate(args) -> int:
     out_dir = args.out or "runs/simulate"
     seed, steps = args.seed, args.steps
-    for flag, value, least in (("--dim", args.dim, 1), ("--steps", steps, 1), ("--n", args.n, 2)):
-        if value < least:
-            raise ConfigError(f"{flag} must be >= {least}, got {value}")
+    check_ranges(vars(args), "--{}")
     # whitening the node features needs more nodes than feature columns
     if args.kind in WEIGHT_RUN_KINDS and args.dim >= args.n:
         raise ConfigError(f"--dim must be below --n for --kind {args.kind}, "
@@ -264,7 +259,7 @@ def cmd_simulate(args) -> int:
             d_split=1,
             details=[{"initial_nesum": first.nesum, "final_nesum": last.nesum}],
         )
-    elif args.kind == "free-embedding":
+    else:  # free-embedding
         h, history = collapse.free_embedding_optimize(
             graph, graph.n_nodes, args.dim, args.alpha, args.beta, steps, args.lr, seed=seed
         )
@@ -275,9 +270,6 @@ def cmd_simulate(args) -> int:
             d_split=args.dim,
             details=history,
         )
-        run = None
-    else:
-        raise ConfigError(f"unknown simulation kind: {args.kind!r}")
 
     if args.kind != "free-embedding":
         collapse.write_dynamics_csv(run, os.path.join(out_dir, "dynamics.csv"))

@@ -29,7 +29,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigError, Divergence, InputNotWhitened, ShapeMismatch, UnstableStepSize
+from .errors import (ConfigError, Divergence, InputNotWhitened, ShapeMismatch, UnstableStepSize,
+                     check_range)
 from .graphio import NormalizedOperator, SparseGraph, SYM_KIND, normalize, write_csv
 from .reg import RegularizerSpec, cross_correlation, neighborhood_summary, orthoreg_loss
 from .tensor import (
@@ -130,6 +131,7 @@ def gd_linear_trajectory(
 ) -> DynamicsRun:
     """Explicit descent W <- W - 2 eta P W on the smoothness penalty of the
     linear model; requires eta * lambda_max(P) < 0.5 for stability."""
+    check_range("snapshot_every", snapshot_every)
     w = as_matrix(w0, "w0").copy()
     p = build_p(x, lap)
     lam_max = float(sym_eigvals(p)[0])
@@ -156,8 +158,8 @@ def feature_space_trajectory(
     correlation-matrix eigen report of H at each snapshot."""
     if a_sym.kind != SYM_KIND:
         raise ShapeMismatch(f"feature-space update needs a sym operator, got {a_sym.kind}")
-    if not 0.0 <= tau <= 1.0:
-        raise ConfigError(f"tau must lie in [0, 1], got {tau}")
+    check_range("tau", tau)
+    check_range("snapshot_every", snapshot_every)
     h = as_matrix(h0, "h0").copy()
 
     def snap(step):
@@ -286,6 +288,8 @@ def free_embedding_optimize(
     """
     if n != g.n_nodes:
         raise ShapeMismatch(f"n={n} but graph has {g.n_nodes} nodes")
+    check_range("lr", lr)
+    check_range("history_every", history_every)
     rng = np.random.default_rng(seed)
     h = rng.standard_normal((n, d))
     a_rw = normalize(g, "rw")
@@ -294,8 +298,7 @@ def free_embedding_optimize(
     def metrics(step, value):
         auto = correlation(h)
         off = auto - np.diag(np.diag(auto))
-        summary = neighborhood_summary(h, a_rw, 1)
-        cross = cross_correlation(h, summary)
+        cross = cross_correlation(h, neighborhood_summary(h, a_rw, 1))
         return {
             "step": step,
             "loss": value,
@@ -304,7 +307,6 @@ def free_embedding_optimize(
         }
 
     history = []
-    value = None
     for step in range(steps):
         value, grad = orthoreg_loss(h, a_rw, spec)
         if not np.isfinite(value):

@@ -1,4 +1,4 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and RANGES, the one range table.
 
 Each type carries the CLI exit code it maps to as ``exit_code``:
 configuration problems exit 2, data problems (the default) exit 3, and
@@ -58,3 +58,32 @@ class Divergence(OrthoRegError):
     """Loss or iterate became non-finite."""
 
     exit_code = 4
+
+
+# Each number's interval, by field or flag dest; an infinite end is open, so NaN and inf fail.
+RANGES = {
+    "lr": "(0, inf)", "dropout_p": "[0, 1)", "weight_decay": "[0, inf)", "epochs": "[1, inf)",
+    "hidden": "[1, inf)", "embedding": "[1, inf)", "seed": "[0, inf)", "trials": "[1, inf)",
+    "eigens_every": "[0, inf)", "early_stop_patience": "[0, inf)", "lam": "[0, inf)",
+    "alpha": "[0, inf)", "beta": "[0, inf)", "hops": "[1, inf)", "n": "[2, inf)", "tau": "[0, 1]",
+    "dim": "[1, inf)", "steps": "[1, inf)", "mask ratio": "[0, 1]", "depth": "[1, inf)",
+    "ORTHOREG_THREADS": "[1, inf)", "percentile": "(0, 100)", "k": "[0, inf)",
+    "snapshot_every": "[1, inf)", "history_every": "[1, inf)",
+}
+_BOUNDS = {name: (rule[0] == "(", *map(float, rule[1:-1].split(", ")), rule[-1] == ")")
+           for name, rule in RANGES.items()}
+
+
+def check_range(name: str, value, label=None):
+    """``value``, or a ConfigError if it lies outside RANGES[name]."""
+    lo_open, lo, hi, hi_open = _BOUNDS[name]
+    if not ((lo < value if lo_open else lo <= value) and (value < hi if hi_open else value <= hi)):
+        raise ConfigError(f"{label or name} must be in {RANGES[name]}, got {value}")
+    return value
+
+
+def check_ranges(values: dict, label: str = "{}") -> None:
+    """check_range on each entry of ``values`` that RANGES names, as label.format(name)."""
+    for name, value in values.items():
+        if name in RANGES:
+            check_range(name, value, label.format(name))

@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import ConfigError, Divergence, EmptyMask, ShapeMismatch
+from .errors import ConfigError, Divergence, EmptyMask, ShapeMismatch, check_range, check_ranges
 from .graphio import (Dataset, SparseGraph, add_self_loops, mask_edges, normalize, select_isolated,
                       write_csv, write_lines)
 from .net import (
@@ -92,20 +92,7 @@ class TrainConfig:
     trials: int = 10
 
     def __post_init__(self):
-        for name, ok, rule in [
-            ("lr", self.lr > 0.0, "> 0"),
-            ("dropout_p", 0.0 <= self.dropout_p < 1.0, "in [0, 1)"),
-            ("weight_decay", self.weight_decay >= 0.0, ">= 0"),
-            ("epochs", self.epochs >= 1, ">= 1"),
-            ("hidden", self.hidden >= 1, ">= 1"),
-            ("embedding", self.embedding >= 1, ">= 1"),
-            ("seed", self.seed >= 0, ">= 0"),
-            ("eigens_every", self.eigens_every >= 0, ">= 0"),
-            ("early_stop_patience", self.early_stop_patience >= 0, ">= 0"),
-            ("trials", self.trials >= 1, ">= 1"),
-        ]:
-            if not ok:
-                raise ConfigError(f"{name} must be {rule}, got {getattr(self, name)!r}")
+        check_ranges(vars(self))
 
     def resolve_dims(self, n_features: int, n_classes: int) -> list:
         if self.dims is not None:
@@ -296,10 +283,8 @@ def _max_workers() -> int:
     try:
         workers = int(raw)
     except ValueError:
-        workers = 0
-    if workers < 1:
-        raise ConfigError(f"{THREADS_ENV} must be a positive integer, got {raw!r}")
-    return workers
+        raise ConfigError(f"{THREADS_ENV} must be an integer, got {raw!r}") from None
+    return check_range(THREADS_ENV, workers)
 
 
 def run_trials(
@@ -381,8 +366,7 @@ def robustness_sweep(
     graph (one mask per trial, ``config.trials`` trials) and record test
     accuracy."""
     for ratio in ratios:
-        if not 0.0 <= ratio <= 1.0:
-            raise ConfigError(f"mask ratio {ratio} outside [0, 1]")
+        check_range("mask ratio", ratio)
     out = []
     for ratio in ratios:
         masker = lambda trial, r=ratio: mask_edges(graph, r, seed=config.seed + trial)
@@ -469,8 +453,7 @@ def sgc_comparator(
 ) -> RunReport:
     """k-step propagated features + a single linear layer, trained with
     SGC_CONFIG."""
-    if k < 0:
-        raise ShapeMismatch("propagation depth k must be >= 0")
+    check_range("k", k)
     op = _renormalized_operator(graph)
     feats = data.features
     for _ in range(k):
@@ -585,8 +568,7 @@ def inference_benchmark(
     op = _renormalized_operator(graph)
     runners = []
     for depth in depths:
-        if depth < 1:
-            raise ConfigError(f"depth must be >= 1, got {depth}")
+        check_range("depth", depth)
         dims = [data.n_features] + [width] * (depth - 1) + [data.n_classes]
         params = init_mlp(dims, seed=seed)
         weights, biases = params.layer_weights, params.layer_biases

@@ -30,7 +30,7 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import ConfigError, EmptyGraph, MissingFile, ParseError, ShapeMismatch
+from .errors import ConfigError, EmptyGraph, MissingFile, ParseError, ShapeMismatch, check_range
 
 log = logging.getLogger(__name__)
 
@@ -486,8 +486,7 @@ def select_isolated(g: SparseGraph, percentile: float = 3.0):
     included), so a regular graph isolates every node. Node ids are
     preserved in the reduced graph.
     """
-    if not 0.0 < percentile < 100.0:
-        raise ConfigError(f"percentile must lie in (0, 100), got {percentile}")
+    check_range("percentile", percentile)
     order = np.sort(g.degrees)
     rank = max(1, int(np.ceil(percentile / 100.0 * g.n_nodes)))
     threshold = order[rank - 1]
@@ -503,8 +502,7 @@ def select_isolated(g: SparseGraph, percentile: float = 3.0):
 def mask_edges(g: SparseGraph, ratio: float, seed: int) -> SparseGraph:
     """Remove floor(ratio * m) undirected edges uniformly without
     replacement (both arcs of each); deterministic for a fixed seed."""
-    if not 0.0 <= ratio <= 1.0:
-        raise ConfigError(f"mask ratio must lie in [0, 1], got {ratio}")
+    check_range("mask ratio", ratio)
     edges = g.undirected_edges()
     m = edges.shape[0]
     n_drop = int(np.floor(ratio * m))

@@ -47,7 +47,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, ShapeMismatch
+from .errors import ConfigError, ShapeMismatch, check_range, check_ranges
 from .graphio import LAPLACIAN_KIND, NormalizedOperator, RW_KIND, SYM_KIND
 from .tensor import as_matrix, centered_columns, spmm, spmm_t
 
@@ -92,17 +92,13 @@ class RegularizerSpec:
     def __post_init__(self):
         if self.kind not in REG_KINDS:
             raise ConfigError(f"unknown regularizer kind: {self.kind!r}")
-        for name in ("lam", "alpha", "beta"):
-            value = getattr(self, name)
-            if not 0.0 <= value < np.inf:
-                raise ConfigError(f"{name} must be finite and >= 0, got {value!r}")
+        check_ranges(vars(self))
         _check_pooling(self.hops, self.pooling)
 
 
 def _check_pooling(hops: int, mode: str) -> None:
     """Reject a hop count below 1 or an unknown pooling mode, naming it."""
-    if hops < 1:
-        raise ConfigError(f"hops must be >= 1, got {hops!r}")
+    check_range("hops", hops)
     if mode not in (POOL_AVERAGE, POOL_SECOND_HOP):
         raise ConfigError(f"unknown pooling mode: {mode!r}")
 

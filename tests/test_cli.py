@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import csv
 import io
@@ -40,6 +41,10 @@ def cora_named_dir(dataset_dir, tmp_path_factory):
 def resolved(out_dir) -> dict:
     with open(os.path.join(out_dir, "config.resolved")) as fh:
         return dict(line.rstrip("\n").split(" = ", 1) for line in fh)
+
+
+# a config file whose only line sets an infinite learning rate
+LR_INF_CONFIG = str(Path(__file__).with_name("lr_inf.cfg"))
 
 
 def run_cli(capsys, *argv):
@@ -554,6 +559,13 @@ class TestExitCodes:
         (["train", "--reg", "laplacian", "--lam", "-1"], 2, "lam"),
         (["simulate", "--kind", "closed-form", "--n", "5", "--dim", "8"], 2, "--dim"),
         (["simulate", "--kind", "gd-linear", "--n", "8", "--dim", "8"], 2, "--n"),
+        (["simulate", "--kind", "free-embedding", "--lr", "0"], 2, "--lr"),
+        (["simulate", "--kind", "free-embedding", "--lr", "-1"], 2, "--lr"),
+        (["simulate", "--kind", "free-embedding", "--lr", "inf"], 2, "--lr"),
+        (["simulate", "--kind", "free-embedding", "--lr", "nan"], 2, "--lr"),
+        (["train", "--lr", "inf"], 2, "lr"),
+        (["train", "--weight-decay", "inf"], 2, "weight_decay"),
+        (["train", "--config", LR_INF_CONFIG], 2, "lr"),
     ])
     def test_bad_user_value_exits_2_naming_it(self, dataset_dir, tmp_path, capsys,
                                               argv, code, named):
@@ -591,6 +603,35 @@ class TestExitCodes:
                               "--out", str(tmp_path / "o"))
         assert got == code == error.exit_code
         assert "boom" in err
+
+
+# RANGES entries that only library callers set, and the flag that sets each
+# entry no flag's dest names
+LIBRARY_ONLY_RANGES = {"percentile", "k", "snapshot_every", "history_every"}
+LIST_FLAG_RANGES = {"mask ratio": "--ratios", "depth": "--depths"}
+
+
+class TestRangeTable:
+    def test_every_user_number_has_a_rule_the_readme_names(self):
+        commands = next(a for a in cli.build_parser()._actions
+                        if isinstance(a, argparse._SubParsersAction)).choices
+        # every flag that parses a number, apart from a fixed choice set
+        numeric = [a for p in commands.values() for a in p._actions
+                   if a.type not in (None, str) and not a.choices]
+        assert [a.option_strings for a in numeric if a.dest not in errors.RANGES] == []
+        assert [f.name for cls in (TrainConfig, RegularizerSpec) for f in fields(cls)
+                if type(f.default) in (int, float) and f.name not in errors.RANGES] == []
+
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        paragraph = next(p for p in readme.split("\n\n")
+                         if p.startswith("Out-of-range user values exit 2"))
+        spellings = {name: {name} for name in errors.RANGES if name not in LIBRARY_ONLY_RANGES}
+        for action in numeric:
+            spellings[action.dest].update(action.option_strings)
+        for name, flag in LIST_FLAG_RANGES.items():
+            spellings[name].add(flag)
+        assert [name for name, names in spellings.items()
+                if not any(f"`{s}`" in paragraph for s in names)] == []
 
 
 class TestSimulate:

@@ -16,8 +16,8 @@ from orthoreg.collapse import (
     whiten,
     write_dynamics_csv,
 )
-from orthoreg.errors import (Divergence, InputNotWhitened, NotSymmetric, ShapeMismatch,
-                             UnstableStepSize)
+from orthoreg.errors import (ConfigError, Divergence, InputNotWhitened, NotSymmetric,
+                             ShapeMismatch, UnstableStepSize)
 from orthoreg.graphio import NormalizedOperator, graph_from_edges, normalize
 from orthoreg.synth import ring_graph, sbm_graph
 from orthoreg.tensor import EigenReport, covariance, nesum, singular_values, sym_eigvals
@@ -359,6 +359,21 @@ class TestFreeEmbeddingOptimize:
     def test_node_count_validated(self, ring8):
         with pytest.raises(ShapeMismatch):
             free_embedding_optimize(ring8, 9, 2, 1e-2, 1e-5, 10, 1.0)
+
+
+@pytest.mark.parametrize("run, named", [
+    (lambda g, h: gd_linear_trajectory(whiten(h), normalize(g, "laplacian"), np.eye(3),
+                                       0.01, 5, snapshot_every=0), "snapshot_every"),
+    (lambda g, h: feature_space_trajectory(h, normalize(g, "sym"), 0.5, 5, snapshot_every=0),
+     "snapshot_every"),
+    (lambda g, h: free_embedding_optimize(g, g.n_nodes, 3, 1e-2, 1e-5, 5, 1.0,
+                                          history_every=0), "history_every"),
+])
+def test_zero_record_interval_is_a_config_error(rng, run, named):
+    # each interval divides the step counter, so it must be at least 1
+    g, _ = sbm_graph(20, seed=2)
+    with pytest.raises(ConfigError, match=named):
+        run(g, rng.standard_normal((20, 3)))
 
 
 class TestDynamicsCsv:
