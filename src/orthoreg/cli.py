@@ -26,16 +26,12 @@ import os
 import sys
 from dataclasses import asdict, fields, replace
 
-import numpy as np
-
 from . import collapse, experiments, ingest, synth
 from .errors import ConfigError, OrthoRegError, check_range, check_ranges
 from .experiments import TrainConfig
-from .graphio import (key_value_lines, load_dataset, normalize, save_dataset, write_csv,
-                      write_json, write_lines)
+from .graphio import key_value_lines, load_dataset, save_dataset, write_csv, write_json, write_lines
 from .net import save_checkpoint
 from .reg import POOL_AVERAGE, POOL_SECOND_HOP, REG_KINDS, RegularizerSpec
-from .tensor import sym_eigvals
 
 
 # config keys, named as their flags' dests: every RegularizerSpec field
@@ -184,94 +180,18 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _make_graph(args):
-    n, seed, kind = args.n, args.seed, args.graph
-    if kind == "sbm":
-        return synth.sbm_graph(n_nodes=n, seed=seed)[0]
-    if kind == "ring":
-        return synth.ring_graph(n)
-    if kind == "path":
-        return synth.path_graph(n)
-    return synth.star_graph(n - 1)
-
-
-# The weight-matrix runs judge ratio monotonicity only on snapshots whose
-# sigma_min / sigma_max is at least this. Gradient descent shrinks W by 80+
-# orders of magnitude over the default run, and below about eps * sigma_max
-# the small singular values are rounding noise whose ratios jitter; 1e-8
-# (about sqrt(eps)) keeps half the digits. dynamics.csv keeps every snapshot.
-RATIO_FLOOR = 1e-8
-
-
-def _weight_run_verdict(run, eigs) -> collapse.CollapseVerdict:
-    """verify_ratio_monotonicity over the snapshots above RATIO_FLOOR, split
-    at the largest gap of P's eigenvalues."""
-    resolved = [s for s in run.snapshots
-                if s.singular_values[-1] >= RATIO_FLOOR * s.singular_values[0]]
-    return collapse.verify_ratio_monotonicity(replace(run, snapshots=resolved),
-                                              collapse.largest_gap_split(eigs))
-
-
-# the simulate kinds that evolve a weight matrix on whitened node features
-WEIGHT_RUN_KINDS = ("closed-form", "gd-linear")
-
-
 def cmd_simulate(args) -> int:
     out_dir = args.out or "runs/simulate"
-    seed, steps = args.seed, args.steps
     check_ranges(vars(args), "--{}")
-    # whitening the node features needs more nodes than feature columns
-    if args.kind in WEIGHT_RUN_KINDS and args.dim >= args.n:
+    if args.kind in collapse.WEIGHT_RUN_KINDS and args.dim >= args.n:
         raise ConfigError(f"--dim must be below --n for --kind {args.kind}, "
                           f"got --dim {args.dim} and --n {args.n}")
-    rng = np.random.default_rng(seed)
-    graph = _make_graph(args)
+    graph = synth.GRAPHS[args.graph](args.n, args.seed)
     os.makedirs(out_dir, exist_ok=True)
-
-    if args.kind in WEIGHT_RUN_KINDS:
-        lap = normalize(graph, "laplacian")
-        x = collapse.whiten(rng.standard_normal((graph.n_nodes, args.dim)))
-        p = collapse.build_p(x, lap)
-        eigs = sym_eigvals(p)
-        if args.kind == "closed-form":
-            spread = max(float(eigs[0] - eigs[-1]), 1e-9)
-            # exp(P t) grows like e^(lambda_max t): past t = 50 / lambda_max
-            # the squared singular values can overflow (a star graph's P does)
-            t_max = min(12.0 / spread, 50.0 / max(float(eigs[0]), 1e-9))
-            run = collapse.closed_form_trajectory(p, np.eye(args.dim),
-                                                  np.linspace(0.0, t_max, 50), sign=args.sign)
-        else:
-            eta = 0.4 / max(float(eigs[0]), 1e-9)
-            run = collapse.gd_linear_trajectory(
-                x, lap, np.eye(args.dim), eta, steps, snapshot_every=max(1, steps // 50)
-            )
-        verdict = _weight_run_verdict(run, eigs)
-    elif args.kind == "feature-update":
-        a_sym = normalize(graph, "sym")
-        h0 = rng.standard_normal((graph.n_nodes, args.dim))
-        run = collapse.feature_space_trajectory(
-            h0, a_sym, args.tau, steps, snapshot_every=max(1, steps // 50)
-        )
-        first, last = run.snapshots[0].eigen_report, run.snapshots[-1].eigen_report
-        verdict = collapse.CollapseVerdict(
-            monotone_ratio_ok=bool(last.nesum <= first.nesum),
-            vanishing_ratio_estimate=float(last.nesum / max(first.nesum, 1e-12)),
-            d_split=1,
-            details=[{"initial_nesum": first.nesum, "final_nesum": last.nesum}],
-        )
-    else:  # free-embedding
-        h, history = collapse.free_embedding_optimize(
-            graph, graph.n_nodes, args.dim, args.alpha, args.beta, steps, args.lr, seed=seed
-        )
-        final = history[-1]
-        verdict = collapse.CollapseVerdict(
-            monotone_ratio_ok=bool(final["off_diag_norm"] < 0.05),
-            vanishing_ratio_estimate=final["off_diag_norm"],
-            d_split=args.dim,
-            details=history,
-        )
-
-    if args.kind != "free-embedding":
+    run, verdict = collapse.SIMULATIONS[args.kind](
+        graph, dim=args.dim, steps=args.steps, seed=args.seed, tau=args.tau, sign=args.sign,
+        alpha=args.alpha, beta=args.beta, lr=args.lr)
+    if run is not None:
         collapse.write_dynamics_csv(run, os.path.join(out_dir, "dynamics.csv"))
     write_json(os.path.join(out_dir, "verdict.json"), {"kind": args.kind, **asdict(verdict)})
     _write_resolved(out_dir, {"out": out_dir})
@@ -393,10 +313,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.set_defaults(func=cmd_train)
 
     p_sim = sub.add_parser("simulate", help="collapse-dynamics simulations")
-    p_sim.add_argument("--kind", choices=["closed-form", "gd-linear",
-                                          "feature-update", "free-embedding"],
-                       required=True)
-    p_sim.add_argument("--graph", choices=["sbm", "ring", "path", "star"], default="sbm")
+    p_sim.add_argument("--kind", choices=list(collapse.SIMULATIONS), required=True)
+    p_sim.add_argument("--graph", choices=list(synth.GRAPHS), default="sbm")
     p_sim.add_argument("--n", type=int, default=40)
     p_sim.add_argument("--dim", type=int, default=8)
     p_sim.add_argument("--steps", type=int, default=200)

@@ -5,6 +5,8 @@ configuration problems exit 2, data problems (the default) exit 3, and
 numerical divergence exits 4.
 """
 
+import numbers
+
 
 class OrthoRegError(Exception):
     """Base class for all package errors."""
@@ -60,25 +62,28 @@ class Divergence(OrthoRegError):
     exit_code = 4
 
 
-# Each number's interval, by field or flag dest; an infinite end is open, so NaN and inf fail.
+# Each number's interval, "int " first for integers, by field or flag dest; inf ends are open.
 RANGES = {
-    "lr": "(0, inf)", "dropout_p": "[0, 1)", "weight_decay": "[0, inf)", "epochs": "[1, inf)",
-    "hidden": "[1, inf)", "embedding": "[1, inf)", "seed": "[0, inf)", "trials": "[1, inf)",
-    "eigens_every": "[0, inf)", "early_stop_patience": "[0, inf)", "lam": "[0, inf)",
-    "alpha": "[0, inf)", "beta": "[0, inf)", "hops": "[1, inf)", "n": "[2, inf)", "tau": "[0, 1]",
-    "dim": "[1, inf)", "steps": "[1, inf)", "mask ratio": "[0, 1]", "depth": "[1, inf)",
-    "ORTHOREG_THREADS": "[1, inf)", "percentile": "(0, 100)", "k": "[0, inf)",
-    "snapshot_every": "[1, inf)", "history_every": "[1, inf)",
+    "lr": "(0, inf)", "dropout_p": "[0, 1)", "weight_decay": "[0, inf)", "epochs": "int [1, inf)",
+    "hidden": "int [1, inf)", "embedding": "int [1, inf)", "seed": "int [0, inf)",
+    "trials": "int [1, inf)", "eigens_every": "int [0, inf)", "early_stop_patience": "int [0, inf)",
+    "lam": "[0, inf)", "alpha": "[0, inf)", "beta": "[0, inf)", "hops": "int [1, inf)",
+    "n": "int [2, inf)", "tau": "[0, 1]", "dim": "int [1, inf)", "steps": "int [1, inf)",
+    "mask ratio": "[0, 1]", "depth": "int [1, inf)", "ORTHOREG_THREADS": "int [1, inf)",
+    "percentile": "(0, 100)", "k": "int [0, inf)", "snapshot_every": "int [1, inf)",
+    "history_every": "int [1, inf)",
 }
-_BOUNDS = {name: (rule[0] == "(", *map(float, rule[1:-1].split(", ")), rule[-1] == ")")
-           for name, rule in RANGES.items()}
+_BOUNDS = {name: (rule != iv, iv, iv[0] == "(", *map(float, iv[1:-1].split(", ")), iv[-1] == ")")
+           for name, rule in RANGES.items() for iv in [rule.removeprefix("int ")]}
 
 
 def check_range(name: str, value, label=None):
-    """``value``, or a ConfigError if it lies outside RANGES[name]."""
-    lo_open, lo, hi, hi_open = _BOUNDS[name]
-    if not ((lo < value if lo_open else lo <= value) and (value < hi if hi_open else value <= hi)):
-        raise ConfigError(f"{label or name} must be in {RANGES[name]}, got {value}")
+    """``value``, or a ConfigError if it breaks RANGES[name] (numpy integers count as integers)."""
+    integer, interval, lo_open, lo, hi, hi_open = _BOUNDS[name]
+    if (integer and not isinstance(value, numbers.Integral)) or not (
+            (lo < value if lo_open else lo <= value) and (value < hi if hi_open else value <= hi)):
+        kind = "an integer in" if integer else "in"
+        raise ConfigError(f"{label or name} must be {kind} {interval}, got {value}")
     return value
 
 

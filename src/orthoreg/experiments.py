@@ -192,57 +192,58 @@ def train(config: TrainConfig, graph: SparseGraph, data: Dataset, network=None):
     best_val, best_test, best_epoch = -1.0, 0.0, 0
     best_params = params.copy()
     since_improvement = 0
-    for epoch in range(1, config.epochs + 1):
-        h, logits, cache = net_forward(
-            params,
-            x,
-            dropout_p=config.dropout_p,
-            seed=_dropout_seed(config.seed, epoch),
-            train_mode=True,
-        )
-        if not (np.all(np.isfinite(h)) and np.all(np.isfinite(logits))):
-            raise Divergence(f"activations became non-finite at epoch {epoch}")
-        sup_loss, grad_logits = cross_entropy(logits, data.labels, data.train_idx)
-        reg_loss, grad_h = regularizer_value_grad(h, config.regularizer, operators)
-        total = sup_loss + reg_loss
-        if not (np.isfinite(total) and (grad_h is None or np.all(np.isfinite(grad_h)))):
-            raise Divergence(f"loss or regularizer gradient became non-finite at epoch {epoch}")
-        grads = net_backward(params, cache, grad_logits, grad_h)
-        adam_step(params, grads, state)
-
-        eig = None
-        eigen_epoch = config.eigens_every > 0 and epoch % config.eigens_every == 0
-        if x_scored is None or eigen_epoch:
-            # neither H nor the eval cache is kept: held into the next epoch
-            # they would sit under that epoch's train-mode peak
-            h_eval, logits_eval = net_forward(params, x, train_mode=False)[:2]
-            logits_eval = logits_eval[scored]
-            if eigen_epoch:
-                eig = eigen_report(h_eval)
-            del h_eval
-        else:
-            logits_eval = forward(params, x_scored, train_mode=False)[1]
-        val_acc = _accuracy(logits_eval[val_rows], val_labels)
-        test_acc = _accuracy(logits_eval[test_rows], test_labels)
-        records.append(
-            EpochRecord(
-                epoch=epoch,
-                train_loss=total,
-                sup_loss=sup_loss,
-                reg_loss=reg_loss,
-                val_acc=val_acc,
-                test_acc=test_acc,
-                eigen=eig,
+    with np.errstate(over="ignore", invalid="ignore"):  # the Divergence checks report a blow-up
+        for epoch in range(1, config.epochs + 1):
+            h, logits, cache = net_forward(
+                params,
+                x,
+                dropout_p=config.dropout_p,
+                seed=_dropout_seed(config.seed, epoch),
+                train_mode=True,
             )
-        )
-        if val_acc > best_val:
-            best_val, best_test, best_epoch = val_acc, test_acc, epoch
-            best_params = params.copy()
-            since_improvement = 0
-        else:
-            since_improvement += 1
-            if 0 < config.early_stop_patience <= since_improvement:
-                break
+            if not (np.all(np.isfinite(h)) and np.all(np.isfinite(logits))):
+                raise Divergence(f"activations became non-finite at epoch {epoch}")
+            sup_loss, grad_logits = cross_entropy(logits, data.labels, data.train_idx)
+            reg_loss, grad_h = regularizer_value_grad(h, config.regularizer, operators)
+            total = sup_loss + reg_loss
+            if not (np.isfinite(total) and (grad_h is None or np.all(np.isfinite(grad_h)))):
+                raise Divergence(f"loss or regularizer gradient became non-finite at epoch {epoch}")
+            grads = net_backward(params, cache, grad_logits, grad_h)
+            adam_step(params, grads, state)
+
+            eig = None
+            eigen_epoch = config.eigens_every > 0 and epoch % config.eigens_every == 0
+            if x_scored is None or eigen_epoch:
+                # neither H nor the eval cache is kept: held into the next epoch
+                # they would sit under that epoch's train-mode peak
+                h_eval, logits_eval = net_forward(params, x, train_mode=False)[:2]
+                logits_eval = logits_eval[scored]
+                if eigen_epoch:
+                    eig = eigen_report(h_eval)
+                del h_eval
+            else:
+                logits_eval = forward(params, x_scored, train_mode=False)[1]
+            val_acc = _accuracy(logits_eval[val_rows], val_labels)
+            test_acc = _accuracy(logits_eval[test_rows], test_labels)
+            records.append(
+                EpochRecord(
+                    epoch=epoch,
+                    train_loss=total,
+                    sup_loss=sup_loss,
+                    reg_loss=reg_loss,
+                    val_acc=val_acc,
+                    test_acc=test_acc,
+                    eigen=eig,
+                )
+            )
+            if val_acc > best_val:
+                best_val, best_test, best_epoch = val_acc, test_acc, epoch
+                best_params = params.copy()
+                since_improvement = 0
+            else:
+                since_improvement += 1
+                if 0 < config.early_stop_patience <= since_improvement:
+                    break
 
     history = TrainHistory(
         records=records,

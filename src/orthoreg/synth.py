@@ -1,6 +1,6 @@
 """Synthetic graphs and datasets for the dynamics lab, tests, and demos:
 stochastic block models with class-correlated features, plus ring / path /
-star primitives."""
+star primitives. GRAPHS names the graphs ``simulate --graph`` builds."""
 
 from __future__ import annotations
 
@@ -60,6 +60,12 @@ def sbm_graph(
     keep = rng.random(p.size) < p
     edges = np.column_stack([iu[keep], ju[keep]])
     return graph_from_edges(n_nodes, edges), labels
+
+
+# simulate's graphs, each built from (n, seed); only sbm draws
+GRAPHS = {"sbm": lambda n, seed: sbm_graph(n_nodes=n, seed=seed)[0],
+          "ring": lambda n, seed: ring_graph(n), "path": lambda n, seed: path_graph(n),
+          "star": lambda n, seed: star_graph(n - 1)}
 
 
 def synthetic_dataset(

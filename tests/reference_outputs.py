@@ -191,7 +191,7 @@ def value_mismatches(want: dict, got: dict, path: str = "") -> list:
     scale. Hashes are not compared."""
     if isinstance(want, dict):
         if not isinstance(got, dict) or set(want) != set(got):
-            return [f"{path}: keys {sorted(want)} != {sorted(got) if isinstance(got, dict) else got}"]
+            return [f"{path}: recorded keys {sorted(want)}, got {got!r:.200}"]
         return [m for key in want if key != "sha256"
                 for m in value_mismatches(want[key], got[key], f"{path}/{key}")]
     if not isinstance(got, list) or len(want) != len(got):

@@ -265,6 +265,8 @@ class TestTrain:
                                "--patience", "0")
         assert code == 4
         assert "non-finite" in err
+        # numpy's overflow warnings stay silent: stderr is the one error line
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
 
     def test_non_finite_regularizer_gradient_exits_4(self, dataset_dir, tmp_path, capsys,
                                                      monkeypatch):
@@ -634,6 +636,18 @@ class TestRangeTable:
                 if not any(f"`{s}`" in paragraph for s in names)] == []
 
 
+    @pytest.mark.parametrize("name", ["epochs", "trials", "hidden", "embedding", "hops", "seed",
+                                      "eigens_every", "early_stop_patience", "snapshot_every",
+                                      "history_every", "depth", "k", "n", "dim", "steps",
+                                      "ORTHOREG_THREADS"])
+    def test_integer_rule_takes_integers_only(self, name):
+        with pytest.raises(errors.ConfigError, match=f"{name} must be an integer in"):
+            errors.check_range(name, 2.5)
+        with pytest.raises(errors.ConfigError, match=name):
+            errors.check_range(name, 2.0)
+        assert errors.check_range(name, np.int64(2)) == 2
+
+
 class TestSimulate:
     def test_closed_form_verdict_is_monotone(self, tmp_path, capsys):
         out = str(tmp_path / "sim")
@@ -716,7 +730,13 @@ class TestSimulate:
             steps = {row["step"] for row in csv.DictReader(fh)}
         assert len(steps) == 51
         for detail in verdict["details"]:
-            assert detail["small_over_large"] >= cli.RATIO_FLOOR
+            assert detail["small_over_large"] >= collapse.RATIO_FLOOR
+
+    def test_diverging_run_prints_only_its_error_line(self, tmp_path, capsys):
+        code, stdout, err = run_cli(capsys, "simulate", "--kind", "free-embedding",
+                                    "--lr", "1e306", "--out", str(tmp_path / "sim"))
+        assert code == 4
+        assert (stdout, err) == ("", "error: loss became non-finite at step 1\n")
 
     def test_defaults_live_in_the_parser(self):
         args = cli.build_parser().parse_args(["simulate", "--kind", "free-embedding"])

@@ -1,8 +1,16 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from orthoreg.collapse import (
+    OFF_DIAG_MAX,
+    RATIO_FLOOR,
+    SIMULATIONS,
+    SNAPSHOTS,
+    WEIGHT_RUN_KINDS,
+    CollapseVerdict,
     DynamicsRun,
     Snapshot,
     build_p,
@@ -19,7 +27,7 @@ from orthoreg.collapse import (
 from orthoreg.errors import (ConfigError, Divergence, InputNotWhitened, NotSymmetric,
                              ShapeMismatch, UnstableStepSize)
 from orthoreg.graphio import NormalizedOperator, graph_from_edges, normalize
-from orthoreg.synth import ring_graph, sbm_graph
+from orthoreg.synth import GRAPHS, ring_graph, sbm_graph
 from orthoreg.tensor import EigenReport, covariance, nesum, singular_values, sym_eigvals
 
 
@@ -390,3 +398,51 @@ class TestDynamicsCsv:
         assert len(text.splitlines()) == 1 + 3 * 3
         assert "\r" not in text
         assert text == path_b.read_text()
+
+
+class TestSimulations:
+    """Each simulate kind's input, schedule and verdict rule, without the CLI."""
+
+    SETTINGS = dict(dim=4, steps=120, seed=3, tau=0.5, sign=1, alpha=1e-2, beta=1e-5, lr=200.0)
+
+    def test_graph_table_builds_n_nodes(self):
+        for name, build in GRAPHS.items():
+            assert build(12, 0).n_nodes == 12, name
+
+    @pytest.mark.parametrize("kind", WEIGHT_RUN_KINDS)
+    def test_weight_runs_judge_ratios_above_the_floor(self, kind):
+        g = sbm_graph(30, seed=1)[0]
+        run, verdict = SIMULATIONS[kind](g, **self.SETTINGS)
+        lap = normalize(g, "laplacian")
+        x = whiten(np.random.default_rng(3).standard_normal((30, 4)))
+        eigs = sym_eigvals(build_p(x, lap))
+        steps = [s.step for s in run.snapshots]
+        assert steps == (list(range(SNAPSHOTS)) if kind == "closed-form"
+                         else list(range(0, 121, 2)))
+        resolved = [s for s in run.snapshots
+                    if s.singular_values[-1] >= RATIO_FLOOR * s.singular_values[0]]
+        assert 2 <= len(resolved)
+        assert verdict == verify_ratio_monotonicity(replace(run, snapshots=resolved),
+                                                    largest_gap_split(eigs))
+        assert verdict.monotone_ratio_ok is True
+
+    def test_feature_update_judges_nesum(self):
+        g = sbm_graph(30, seed=1)[0]
+        run, verdict = SIMULATIONS["feature-update"](g, **self.SETTINGS)
+        assert [s.step for s in run.snapshots] == list(range(0, 121, 2))
+        first, last = (s.eigen_report.nesum for s in (run.snapshots[0], run.snapshots[-1]))
+        assert verdict == CollapseVerdict(monotone_ratio_ok=True, d_split=1,
+                                          vanishing_ratio_estimate=last / first,
+                                          details=[{"initial_nesum": first, "final_nesum": last}])
+        assert last < first
+
+    @pytest.mark.parametrize("steps, orthogonal", [(1, False), (4000, True)])
+    def test_free_embedding_judges_the_off_diagonal_norm(self, ring8, steps, orthogonal):
+        settings = dict(self.SETTINGS, dim=2, steps=steps)
+        run, verdict = SIMULATIONS["free-embedding"](ring8, **settings)
+        _, history = free_embedding_optimize(ring8, 8, 2, 1e-2, 1e-5, steps, 200.0, seed=3)
+        assert run is None
+        assert verdict == CollapseVerdict(monotone_ratio_ok=orthogonal, d_split=2,
+                                          vanishing_ratio_estimate=history[-1]["off_diag_norm"],
+                                          details=history)
+        assert (history[-1]["off_diag_norm"] < OFF_DIAG_MAX) is orthogonal

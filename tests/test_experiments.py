@@ -59,6 +59,8 @@ class TestTrainLoop:
         ("lr", 0.0), ("lr", -1.0), ("lr", float("nan")),
         ("weight_decay", -1.0), ("hidden", 0), ("embedding", 0),
         ("early_stop_patience", -5), ("seed", -1),
+        ("epochs", 2.5), ("trials", 2.5), ("hidden", 16.0), ("embedding", 1.5), ("seed", 1.5),
+        ("eigens_every", 0.5), ("early_stop_patience", 2.5),
     ])
     def test_bad_value_rejected_naming_field(self, field, value):
         with pytest.raises(ConfigError, match=field):

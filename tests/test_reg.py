@@ -148,7 +148,8 @@ class TestNeighborhoodSummary:
         np.testing.assert_array_equal(s[4], 0.0)
 
     @pytest.mark.parametrize("hops,mode,named", [(2, "second_hop", "'second_hop'"),
-                                                 (0, reg.POOL_AVERAGE, "got 0")])
+                                                 (0, reg.POOL_AVERAGE, "got 0"),
+                                                 (1.5, reg.POOL_AVERAGE, "an integer")])
     def test_rejects_a_bad_setting_naming_it(self, rng, hops, mode, named):
         a_rw = normalize(path_graph(4), "rw")
         with pytest.raises(ConfigError, match=named):
