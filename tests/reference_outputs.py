@@ -36,6 +36,10 @@ from pathlib import Path
 import numpy as np
 import scipy
 
+from orthoreg.cli import main
+from orthoreg.graphio import load_dataset
+from orthoreg.net import forward, load_checkpoint
+
 FIXTURE = Path(__file__).with_name("reference_outputs.json")
 
 # a float column matches when every value lies within TOLERANCE times the
@@ -144,9 +148,6 @@ def _values(name: str, raw: bytes) -> dict:
 
 
 def _predictions(checkpoint: str, dataset: str) -> list:
-    from orthoreg.graphio import load_dataset
-    from orthoreg.net import forward, load_checkpoint
-
     _, data = load_dataset(dataset)
     logits = forward(load_checkpoint(checkpoint), data.features)[1]
     return np.argmax(logits, axis=1).tolist()
@@ -155,8 +156,6 @@ def _predictions(checkpoint: str, dataset: str) -> list:
 def run_all(workdir: str) -> dict:
     """Every run of RUNS, by name: its stdout's values and, for each file it
     writes, the SHA-256 of its canonical bytes and its values."""
-    from orthoreg.cli import main
-
     dataset = os.path.join(workdir, "data")
     with contextlib.redirect_stdout(io.StringIO()):
         if main(["ingest", "--kind", "synthetic", "--out", dataset]) != 0:
