@@ -4,7 +4,7 @@ RUNS is a fixed set of ``orthoreg`` commands on the ``ingest --kind
 synthetic`` dataset: ``train`` with every regularizer kind (plus one
 orthoreg run with ``--eigens-every`` and one with ``--pooling
 second_hop_only``), ``simulate`` of every kind (plus ``closed-form`` on
-``--graph star``) and ``suite table1``. ``record`` runs them through
+``--graph star``) and every ``suite``. ``record`` runs them through
 ``orthoreg.cli.main`` and keeps, for each output file, the SHA-256 of its
 bytes and its values; for each ``checkpoint.npz``, the class each node is
 predicted. Wall-clock fields and paths are left out of both.
@@ -70,6 +70,10 @@ RUNS = {
     "simulate-feature-update": ["simulate", "--kind", "feature-update"],
     "simulate-free-embedding": ["simulate", "--kind", "free-embedding"],
     "suite-table1": ["suite", "table1", "--epochs", "3", "--trials", "2"],
+    "suite-table3": ["suite", "table3", "--epochs", "3", "--trials", "2"],
+    "suite-coldstart": ["suite", "coldstart", "--epochs", "3", "--trials", "2"],
+    "suite-robustness": ["suite", "robustness", "--ratios", "0,0.4", "--epochs", "3",
+                         "--trials", "2"],
 }
 
 
