@@ -10,7 +10,7 @@ per-layer sparse-product overhead that the feature-only model never does.
 
 import numpy as np
 
-from orthoreg.experiments import TrainConfig, coldstart_experiment, inference_benchmark
+from orthoreg.experiments import TrainConfig, coldstart_split, inference_benchmark, run_trials
 from orthoreg.graphio import Dataset
 from orthoreg.reg import RegularizerSpec
 from orthoreg.synth import random_graph, synthetic_dataset
@@ -20,18 +20,16 @@ def main():
     graph, data = synthetic_dataset(seed=0)
     common = dict(epochs=150, hidden=32, embedding=32, early_stop_patience=0,
                   trials=3, seed=1)
-    print("cold start: train on the reduced graph, score isolated nodes only")
+    isolated, reduced, cold = coldstart_split(graph, data, percentile=20.0)
+    print("cold start: train on the reduced graph, score isolated nodes only "
+          f"(isolated={isolated.size}, scored={cold.test_idx.size})")
     for name, spec in [
         ("cross-correlation reg", RegularizerSpec(kind="orthoreg", alpha=0.2,
                                                   beta=2e-4, hops=2)),
         ("plain MLP", RegularizerSpec(kind="none")),
     ]:
-        report = coldstart_experiment(
-            TrainConfig(regularizer=spec, **common), graph, data, percentile=20.0
-        )
-        print(f"  {name:24s} acc={report.mean_acc:.3f} "
-              f"(isolated={report.extras['n_isolated']}, "
-              f"scored={report.extras['n_eval']})")
+        report = run_trials(TrainConfig(regularizer=spec, **common), reduced, cold)
+        print(f"  {name:24s} acc={report.mean_acc:.3f}")
 
     print("\ninference benchmark on a larger random graph (median of 10):")
     n, f, c = 8000, 300, 5

@@ -3,8 +3,8 @@
 Subcommands: ``ingest`` (build a canonical dataset directory), ``train``
 (one training configuration, writing metrics.jsonl / spectrum.csv /
 report.json / checkpoint.npz), ``simulate`` (collapse-dynamics runs,
-writing dynamics.csv and verdict.json), ``suite`` (the consolidated
-experiment suites: table1, table3, coldstart, robustness), and ``bench``
+writing dynamics.csv and verdict.json), ``suite`` (one table of
+experiments.SUITES: table1, table3, coldstart, robustness), and ``bench``
 (the inference benchmark, MLP against graph-convolution forward).
 
 Configuration comes from an optional flat ``key = value`` file plus flags;
@@ -200,53 +200,24 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-SUITES = ("table1", "table3", "coldstart", "robustness")
-
-
 def cmd_suite(args) -> int:
-    if args.name not in SUITES:
+    if args.name not in experiments.SUITES:
         raise ConfigError(
-            f"unknown suite '{args.name}'; valid suites: {', '.join(SUITES)}"
+            f"unknown suite '{args.name}'; valid suites: {', '.join(experiments.SUITES)}"
         )
     out_dir = args.out or f"runs/suite-{args.name}"
     merged = {**_merge_config(args, {}), "out": out_dir}
 
-    def cfg(kind) -> TrainConfig:
+    def config_for(kind) -> TrainConfig:
         return _train_config_from({**merged, "reg": kind})
 
-    ortho = cfg("orthoreg")
+    ortho = config_for("orthoreg")
+    ratios = [check_range("mask ratio", r) for r in _flag_values(args.ratios, float, "--ratios")]
     graph, data = _load(args.dataset)
-
-    def row(label, report) -> list:
-        return [label, report.mean_acc, report.std_acc, len(report.per_trial)]
-
-    if args.name == "table1":
-        rows = [
-            row("mlp", experiments.run_trials(cfg("none"), graph, data)),
-            row("lap_reg", experiments.run_trials(cfg("laplacian"), graph, data)),
-            row("orthoreg", experiments.run_trials(ortho, graph, data)),
-            row("sgc", experiments.sgc_comparator(graph, data, seed=ortho.seed,
-                                                  trials=ortho.trials)),
-            row("gcn", experiments.gcn_comparator(graph, data, seed=ortho.seed,
-                                                  trials=ortho.trials)),
-        ]
-    elif args.name == "table3":
-        rows = [row(k, r) for k, r in experiments.ablation_suite(graph, data, ortho).items()]
-    elif args.name == "coldstart":
-        _, reduced, cold = experiments.coldstart_split(graph, data)
-        rows = [
-            row("orthoreg", experiments.coldstart_experiment(ortho, graph, data)),
-            row("mlp", experiments.coldstart_experiment(cfg("none"), graph, data)),
-            row("gcn", experiments.gcn_comparator(reduced, cold, seed=ortho.seed,
-                                                  trials=ortho.trials)),
-        ]
-    else:  # robustness
-        ratios = _flag_values(args.ratios, float, "--ratios")
-        rows = []
-        for entry in experiments.robustness_sweep(ortho, graph, data, ratios):
-            rows += [row("orthoreg@%.2f" % entry["ratio"], entry["model"]),
-                     row("gcn@%.2f" % entry["ratio"], entry["gcn"])]
-    _write_suite_outputs(out_dir, args.name, rows, ["row", "mean", "std", "n_trials"])
+    rows = experiments.SUITES[args.name](config_for, graph, data, ratios=ratios)
+    _write_suite_outputs(out_dir, args.name,
+                         [[label, r.mean_acc, r.std_acc, len(r.per_trial)] for label, r in rows],
+                         ["row", "mean", "std", "n_trials"])
     _write_resolved(out_dir, merged, ortho)
     print(json.dumps({"suite": args.name, "out": out_dir}))
     return 0

@@ -285,7 +285,8 @@ def free_embedding_optimize(
 ):
     """Gradient descent on the cross-correlation loss with the embedding
     entries as the only parameters (1-hop pooling); returns the final
-    embeddings and a history of (step, loss, off_diag_norm, smoothness).
+    embeddings and a history of (step, loss, off_diag_norm, smoothness),
+    recorded every ``history_every`` steps and after the last one.
     """
     if n != g.n_nodes:
         raise ShapeMismatch(f"n={n} but graph has {g.n_nodes} nodes")
@@ -309,15 +310,14 @@ def free_embedding_optimize(
 
     history = []
     with np.errstate(over="ignore", invalid="ignore"):  # the loss check reports a blow-up
-        for step in range(steps):
+        for step in range(steps + 1):  # the last evaluation scores the final embeddings
             value, grad = orthoreg_loss(h, a_rw, spec)
             if not np.isfinite(value):
                 raise Divergence(f"loss became non-finite at step {step}")
-            if step % history_every == 0:
+            if step % history_every == 0 or step == steps:
                 history.append(metrics(step, value))
-            h -= lr * grad
-    value, _ = orthoreg_loss(h, a_rw, spec)
-    history.append(metrics(steps, value))
+            if step < steps:
+                h -= lr * grad
     return h, history
 
 

@@ -1,7 +1,8 @@
-"""Training loops and experiment harnesses: transductive classification,
-ablations, cold-start isolation, edge-masking robustness, spectrum
-diagnostics during training, and the inference-time benchmark, plus the
-propagation (SGC-style) and graph-convolution comparators.
+"""Training loops and experiment harnesses: the ``orthoreg suite`` tables
+(SUITES: transductive classification, ablations, cold-start isolation,
+edge-masking robustness), spectrum diagnostics during training, and the
+inference-time benchmark, plus the propagation (SGC-style) and
+graph-convolution comparators.
 
 Everything is full batch and deterministic: all randomness flows from the
 config seed, per-trial seeds are ``seed + trial_index``, and the reported
@@ -339,66 +340,68 @@ def coldstart_split(graph: SparseGraph, data: Dataset, percentile: float = 3.0):
     return isolated, reduced, replace(data, test_idx=test_idx)
 
 
-def coldstart_experiment(
-    config: TrainConfig,
-    graph: SparseGraph,
-    data: Dataset,
-    percentile: float = 3.0,
-) -> RunReport:
-    """Train on the reduced structure with the fixed labeled set and score
-    on the isolated nodes (see coldstart_split; inference is feature-only,
-    the graph is never consulted at eval time)."""
-    isolated, reduced, cold = coldstart_split(graph, data, percentile)
-    report = run_trials(config, reduced, cold)
-    report.extras["n_isolated"] = int(isolated.size)
-    report.extras["n_eval"] = int(cold.test_idx.size)
-    report.extras["arcs_left"] = int(reduced.n_arcs)
-    return report
+def _table1(config_for, graph: SparseGraph, data: Dataset, *, ratios) -> list:
+    """The MLP, Laplacian-regularized, orthoreg, propagation and
+    graph-convolution rows, the comparators at orthoreg's seed and trials."""
+    ortho = config_for("orthoreg")
+    return [("mlp", run_trials(config_for("none"), graph, data)),
+            ("lap_reg", run_trials(config_for("laplacian"), graph, data)),
+            ("orthoreg", run_trials(ortho, graph, data)),
+            ("sgc", sgc_comparator(graph, data, seed=ortho.seed, trials=ortho.trials)),
+            ("gcn", gcn_comparator(graph, data, seed=ortho.seed, trials=ortho.trials))]
 
 
-def robustness_sweep(
-    config: TrainConfig,
-    graph: SparseGraph,
-    data: Dataset,
-    ratios,
-) -> list:
-    """Per masking ratio, train the configured model and the
-    graph-convolution comparator on independently masked copies of the
-    graph (one mask per trial, ``config.trials`` trials) and record test
-    accuracy."""
-    for ratio in ratios:
-        check_range("mask ratio", ratio)
-    out = []
-    for ratio in ratios:
-        masker = lambda trial, r=ratio: mask_edges(graph, r, seed=config.seed + trial)
-        model_report = run_trials(config, graph, data, graph_per_trial=masker)
-        gcn_report = gcn_comparator(graph, data, seed=config.seed, trials=config.trials,
-                                    graph_per_trial=masker)
-        out.append({"ratio": float(ratio), "model": model_report, "gcn": gcn_report})
-    return out
-
-
-def ablation_suite(graph: SparseGraph, data: Dataset, base_config: TrainConfig) -> dict:
+def _table3(config_for, graph: SparseGraph, data: Dataset, *, ratios) -> list:
     """Component ablations of the cross-correlation regularizer: drop the
     diagonal reward (alpha=0), drop the off-diagonal penalty (beta=0), and
-    vary the pooling depth."""
-    base_spec = base_config.regularizer
-    if base_spec.kind != "orthoreg":
+    vary the pooling depth. A variant whose RegularizerSpec equals an
+    earlier row's reuses that row's report."""
+    base = config_for("orthoreg")
+    if base.regularizer.kind != "orthoreg":
         raise ShapeMismatch("ablation suite expects an orthoreg base config")
+    reports = {}
 
-    def variant(**changes) -> TrainConfig:
-        return replace(base_config, regularizer=replace(base_spec, **changes))
+    def row(label, **changes):
+        spec = replace(base.regularizer, **changes)
+        if spec not in reports:
+            reports[spec] = run_trials(replace(base, regularizer=spec), graph, data)
+        return label, reports[spec]
 
-    rows = {}
-    rows["baseline"] = run_trials(base_config, graph, data)
-    rows["alpha=0"] = run_trials(variant(alpha=0.0), graph, data)
-    rows["beta=0"] = run_trials(variant(beta=0.0), graph, data)
-    for t in (1, 2, 3):
-        if t == base_spec.hops:
-            rows[f"T={t}"] = rows["baseline"]
-        else:
-            rows[f"T={t}"] = run_trials(variant(hops=t), graph, data)
+    return [row("baseline"), row("alpha=0", alpha=0.0), row("beta=0", beta=0.0),
+            *(row(f"T={t}", hops=t) for t in (1, 2, 3))]
+
+
+def _coldstart(config_for, graph: SparseGraph, data: Dataset, *, ratios) -> list:
+    """orthoreg, the MLP and the graph-convolution comparator trained on the
+    reduced structure with the fixed labeled set and scored on the isolated
+    nodes (see coldstart_split; the MLPs' inference is feature-only, the
+    graph is never consulted at eval time)."""
+    _, reduced, cold = coldstart_split(graph, data)
+    ortho = config_for("orthoreg")
+    return [("orthoreg", run_trials(ortho, reduced, cold)),
+            ("mlp", run_trials(config_for("none"), reduced, cold)),
+            ("gcn", gcn_comparator(reduced, cold, seed=ortho.seed, trials=ortho.trials))]
+
+
+def _robustness(config_for, graph: SparseGraph, data: Dataset, *, ratios) -> list:
+    """Per masking ratio, orthoreg and the graph-convolution comparator
+    trained on independently masked copies of the graph (trial t masks with
+    seed + t; mask_edges rejects a ratio outside [0, 1])."""
+    ortho = config_for("orthoreg")
+    rows = []
+    for ratio in ratios:
+        masker = lambda trial, r=ratio: mask_edges(graph, r, seed=ortho.seed + trial)
+        rows += [("orthoreg@%.2f" % ratio, run_trials(ortho, graph, data, graph_per_trial=masker)),
+                 ("gcn@%.2f" % ratio, gcn_comparator(graph, data, seed=ortho.seed,
+                                                     trials=ortho.trials, graph_per_trial=masker))]
     return rows
+
+
+# orthoreg suite's tables: SUITES[name](config_for, graph, data, ratios=) returns the table's
+# ordered (label, RunReport) rows, where config_for(kind) is the run's TrainConfig with that
+# regularizer kind
+SUITES = {"table1": _table1, "table3": _table3, "coldstart": _coldstart,
+          "robustness": _robustness}
 
 
 def tune_coarse_grid(

@@ -26,13 +26,10 @@ from orthoreg.collapse import (
 )
 from orthoreg.experiments import (
     DEFAULT_HYPERS,
+    SUITES,
     TrainConfig,
-    ablation_suite,
-    coldstart_experiment,
-    coldstart_split,
     gcn_comparator,
     inference_benchmark,
-    robustness_sweep,
     run_trials,
     sgc_comparator,
     train,
@@ -54,6 +51,15 @@ def cora_train_config(spec: RegularizerSpec, seed: int = 0, **overrides) -> Trai
     kwargs = dict(epochs=300, early_stop_patience=100, seed=seed, trials=10)
     kwargs.update(overrides)
     return TrainConfig(regularizer=spec, **kwargs)
+
+
+def cora_config_for(kind: str) -> TrainConfig:
+    """A SUITES ``config_for``: orthoreg with Cora's (alpha, beta) and T=2,
+    any other kind with its spec defaults."""
+    alpha, beta = DEFAULT_HYPERS["cora"]
+    spec = (RegularizerSpec(kind=kind, alpha=alpha, beta=beta, hops=2) if kind == "orthoreg"
+            else RegularizerSpec(kind=kind))
+    return cora_train_config(spec)
 
 
 class TestCriterion1GradientFidelity:
@@ -250,12 +256,8 @@ class TestCriterion6AblationOrdering:
     def test_component_ordering_on_cora(self):
         path = require_dataset("cora")
         graph, data = load_dataset(path)
-        alpha, beta = DEFAULT_HYPERS["cora"]
-        base = cora_train_config(
-            RegularizerSpec(kind="orthoreg", alpha=alpha, beta=beta, hops=2)
-        )
-        rows = ablation_suite(graph, data, base)
-        mlp = run_trials(cora_train_config(RegularizerSpec(kind="none")), graph, data)
+        rows = dict(SUITES["table3"](cora_config_for, graph, data, ratios=[]))
+        mlp = run_trials(cora_config_for("none"), graph, data)
         a0 = rows["alpha=0"].mean_acc
         b0 = rows["beta=0"].mean_acc
         full = rows["baseline"].mean_acc
@@ -290,17 +292,8 @@ class TestCriterion8ColdStart:
     def test_isolated_node_accuracy_on_cora(self):
         path = require_dataset("cora")
         graph, data = load_dataset(path)
-        alpha, beta = DEFAULT_HYPERS["cora"]
-        ortho = coldstart_experiment(
-            cora_train_config(RegularizerSpec(kind="orthoreg", alpha=alpha,
-                                              beta=beta, hops=2)),
-            graph, data,
-        )
-        mlp = coldstart_experiment(
-            cora_train_config(RegularizerSpec(kind="none")), graph, data
-        )
-        _, reduced, cold = coldstart_split(graph, data, 3.0)
-        gcn = gcn_comparator(reduced, cold, trials=10)
+        rows = dict(SUITES["coldstart"](cora_config_for, graph, data, ratios=[]))
+        ortho, mlp, gcn = rows["orthoreg"], rows["mlp"], rows["gcn"]
         o, m, g = 100 * ortho.mean_acc, 100 * mlp.mean_acc, 100 * gcn.mean_acc
         ok = (abs(o - 61.93) <= 3.5) and (o >= m + 6.0) and (o >= g + 4.0)
         report(
@@ -314,17 +307,11 @@ class TestCriterion9Robustness:
     def test_masking_degrades_gcn_faster_on_cora(self):
         path = require_dataset("cora")
         graph, data = load_dataset(path)
-        alpha, beta = DEFAULT_HYPERS["cora"]
-        cfg = cora_train_config(
-            RegularizerSpec(kind="orthoreg", alpha=alpha, beta=beta, hops=2)
-        )
-        sweep = robustness_sweep(cfg, graph, data, ratios=[0.0, 0.2, 0.4])
-        base = {e["ratio"]: e for e in sweep}[0.0]
+        sweep = dict(SUITES["robustness"](cora_config_for, graph, data, ratios=[0.0, 0.2, 0.4]))
         failures = []
         for ratio in (0.2, 0.4):
-            entry = {e["ratio"]: e for e in sweep}[ratio]
-            ortho_drop = base["model"].mean_acc - entry["model"].mean_acc
-            gcn_drop = base["gcn"].mean_acc - entry["gcn"].mean_acc
+            ortho_drop = sweep["orthoreg@0.00"].mean_acc - sweep[f"orthoreg@{ratio:.2f}"].mean_acc
+            gcn_drop = sweep["gcn@0.00"].mean_acc - sweep[f"gcn@{ratio:.2f}"].mean_acc
             if not ortho_drop < gcn_drop:
                 failures.append(
                     f"ratio {ratio}: drops {ortho_drop:.4f} !< {gcn_drop:.4f}"

@@ -568,6 +568,7 @@ class TestExitCodes:
         (["train", "--lr", "inf"], 2, "lr"),
         (["train", "--weight-decay", "inf"], 2, "weight_decay"),
         (["train", "--config", LR_INF_CONFIG], 2, "lr"),
+        (["suite", "table1", "--ratios", "1.5"], 2, "ratio"),
     ])
     def test_bad_user_value_exits_2_naming_it(self, dataset_dir, tmp_path, capsys,
                                               argv, code, named):
@@ -738,6 +739,14 @@ class TestSimulate:
         assert code == 4
         assert (stdout, err) == ("", "error: loss became non-finite at step 1\n")
 
+    def test_blow_up_on_the_last_step_exits_4(self, tmp_path, capsys):
+        out = tmp_path / "sim"
+        code, stdout, err = run_cli(capsys, "simulate", "--kind", "free-embedding",
+                                    "--steps", "1", "--lr", "1e306", "--out", str(out))
+        assert code == 4
+        assert (stdout, err) == ("", "error: loss became non-finite at step 1\n")
+        assert not (out / "verdict.json").exists()
+
     def test_defaults_live_in_the_parser(self):
         args = cli.build_parser().parse_args(["simulate", "--kind", "free-embedding"])
         assert (args.tau, args.alpha, args.beta, args.lr) == (0.5, 1e-2, 1e-5, 200.0)
@@ -801,6 +810,16 @@ class TestSuite:
         rows = Path(out, "bench.csv").read_text().splitlines()
         assert rows[0] == "row,mlp_s,gcn_s,gcn_over_mlp"
         assert len(rows) == 3
+
+    def test_coldstart_isolates_once(self, dataset_dir, tmp_path, capsys, monkeypatch):
+        calls = []
+        original = experiments.select_isolated
+        monkeypatch.setattr(experiments, "select_isolated",
+                            lambda *args: calls.append(args) or original(*args))
+        code, _, _ = run_cli(capsys, "suite", "coldstart", "--dataset", dataset_dir,
+                             "--out", str(tmp_path / "s"), "--epochs", "2", "--trials", "1")
+        assert code == 0
+        assert len(calls) == 1
 
     def test_coldstart_suite_rows(self, dataset_dir, tmp_path, capsys):
         out = str(tmp_path / "s")

@@ -368,6 +368,10 @@ class TestFreeEmbeddingOptimize:
         with pytest.raises(ShapeMismatch):
             free_embedding_optimize(ring8, 9, 2, 1e-2, 1e-5, 10, 1.0)
 
+    def test_blow_up_on_the_last_step_is_reported(self, ring8):
+        with pytest.raises(Divergence, match="non-finite at step 1"):
+            free_embedding_optimize(ring8, 8, 2, 1e-2, 1e-5, 1, 1e306)
+
 
 @pytest.mark.parametrize("run, named", [
     (lambda g, h: gd_linear_trajectory(whiten(h), normalize(g, "laplacian"), np.eye(3),

@@ -13,9 +13,8 @@ from conftest import finite_difference, rel_err
 from orthoreg import experiments, graphio
 from orthoreg.errors import ConfigError, Divergence, EmptyMask, ShapeMismatch
 from orthoreg.experiments import (
+    SUITES,
     TrainConfig,
-    ablation_suite,
-    coldstart_experiment,
     coldstart_split,
     evaluate,
     gcn_backward,
@@ -23,7 +22,6 @@ from orthoreg.experiments import (
     gcn_forward,
     inference_benchmark,
     resolve_regularizer,
-    robustness_sweep,
     run_trials,
     sgc_comparator,
     train,
@@ -43,6 +41,12 @@ SMALL = dict(epochs=60, hidden=16, embedding=16, early_stop_patience=0)
 def small_config(kind="none", seed=0, **reg_kwargs) -> TrainConfig:
     return TrainConfig(regularizer=RegularizerSpec(kind=kind, **reg_kwargs),
                        seed=seed, trials=2, **SMALL)
+
+
+def suite_config_for(**reg_kwargs):
+    """A SUITES ``config_for`` over small_config: the orthoreg kind takes
+    ``reg_kwargs``, any other kind its defaults."""
+    return lambda kind: small_config(kind, **(reg_kwargs if kind == "orthoreg" else {}))
 
 
 class TestTrainLoop:
@@ -464,12 +468,14 @@ class TestRunTrials:
 class TestColdstart:
     def test_reduced_graph_and_eval_set_are_consistent(self, synthetic_problem):
         graph, data = synthetic_problem
-        report = coldstart_experiment(small_config("orthoreg", alpha=0.05, beta=5e-5),
-                                      graph, data, percentile=20.0)
-        isolated, reduced = select_isolated(graph, 20.0)
-        assert report.extras["n_isolated"] == isolated.size
-        assert report.extras["arcs_left"] == reduced.n_arcs
-        assert report.extras["n_eval"] <= isolated.size
+        rows = dict(SUITES["coldstart"](suite_config_for(alpha=0.05, beta=5e-5),
+                                        graph, data, ratios=[]))
+        report = rows["orthoreg"]
+        isolated_used, reduced_used, cold = coldstart_split(graph, data)
+        isolated, reduced = select_isolated(graph, 3.0)
+        assert isolated_used.size == isolated.size
+        assert reduced_used.n_arcs == reduced.n_arcs
+        assert cold.test_idx.size <= isolated.size
         assert 0.0 <= report.mean_acc <= 1.0
 
     def test_eval_nodes_exclude_train_and_val(self, synthetic_problem):
@@ -495,13 +501,21 @@ class TestColdstart:
         np.testing.assert_array_equal(partial_cold.test_idx,
                                       np.setdiff1d(cold.test_idx, unlabeled))
 
-    def test_trials_score_the_cold_test_split(self, synthetic_problem):
+    def test_trials_score_the_cold_test_split(self, synthetic_problem, monkeypatch):
         graph, data = synthetic_problem
-        cfg = small_config("orthoreg", alpha=0.05, beta=5e-5)
-        report = coldstart_experiment(cfg, graph, data, percentile=20.0)
-        _, reduced, cold = coldstart_split(graph, data, 20.0)
+        config_for = suite_config_for(alpha=0.05, beta=5e-5)
+        cfg = config_for("orthoreg")
+        scored = []
+
+        def recording(config, g, d, **kwargs):
+            scored.append(d.test_idx.size)
+            return run_trials(config, g, d, **kwargs)
+
+        monkeypatch.setattr(experiments, "run_trials", recording)
+        report = dict(SUITES["coldstart"](config_for, graph, data, ratios=[]))["orthoreg"]
+        _, reduced, cold = coldstart_split(graph, data)
         assert report.per_trial == run_trials(cfg, reduced, cold).per_trial
-        assert report.extras["n_eval"] == cold.test_idx.size
+        assert scored == [cold.test_idx.size] * 3  # orthoreg, mlp and gcn rows
 
 
 class TestResolveRegularizer:
@@ -534,36 +548,52 @@ class TestRobustness:
     def test_zero_ratio_reproduces_transductive_run(self, synthetic_problem):
         graph, data = synthetic_problem
         cfg = small_config("orthoreg", alpha=0.05, beta=5e-5)
-        sweep = robustness_sweep(cfg, graph, data, ratios=[0.0])
+        sweep = dict(SUITES["robustness"](lambda kind: cfg, graph, data, ratios=[0.0]))
         base = run_trials(cfg, graph, data)
-        assert sweep[0]["model"].per_trial == base.per_trial
+        assert sweep["orthoreg@0.00"].per_trial == base.per_trial
 
     def test_full_masking_still_finite(self, synthetic_problem):
         graph, data = synthetic_problem
         cfg = small_config("orthoreg", alpha=0.05, beta=5e-5)
-        sweep = robustness_sweep(dataclasses.replace(cfg, trials=1), graph, data, ratios=[1.0])
-        acc = sweep[0]["model"].mean_acc
+        sweep = dict(SUITES["robustness"](lambda kind: dataclasses.replace(cfg, trials=1),
+                                          graph, data, ratios=[1.0]))
+        acc = sweep["orthoreg@1.00"].mean_acc
         assert np.isfinite(acc)
         assert acc >= 0.15  # above floor even with the structure gone
 
     def test_bad_ratio_rejected(self, synthetic_problem):
         graph, data = synthetic_problem
         with pytest.raises(ConfigError):
-            robustness_sweep(small_config("none"), graph, data, ratios=[1.2])
+            SUITES["robustness"](lambda kind: small_config("none"), graph, data, ratios=[1.2])
 
 
 class TestAblation:
     def test_rows_present_and_t2_aliases_baseline(self, synthetic_problem):
         graph, data = synthetic_problem
         base = small_config("orthoreg", alpha=0.05, beta=5e-5, hops=2)
-        rows = ablation_suite(graph, data, base)
+        rows = dict(SUITES["table3"](lambda kind: base, graph, data, ratios=[]))
         assert set(rows) == {"baseline", "alpha=0", "beta=0", "T=1", "T=2", "T=3"}
         assert rows["T=2"] is rows["baseline"]
+
+    def test_variant_equal_to_an_earlier_row_reuses_its_report(self, synthetic_problem,
+                                                              monkeypatch):
+        graph, data = synthetic_problem
+        base = small_config("orthoreg", alpha=0.0, beta=5e-5, hops=1)
+        trained = []
+        monkeypatch.setattr(experiments, "run_trials",
+                            lambda config, g, d: trained.append(config.regularizer) or object())
+        rows = SUITES["table3"](lambda kind: base, graph, data, ratios=[])
+        reports = dict(rows)
+        assert [label for label, _ in rows] == ["baseline", "alpha=0", "beta=0", "T=1", "T=2",
+                                                "T=3"]
+        assert reports["alpha=0"] is reports["T=1"] is reports["baseline"]
+        assert [(spec.alpha, spec.beta, spec.hops) for spec in trained] == [
+            (0.0, 5e-5, 1), (0.0, 0.0, 1), (0.0, 5e-5, 2), (0.0, 5e-5, 3)]
 
     def test_requires_orthoreg_base(self, synthetic_problem):
         graph, data = synthetic_problem
         with pytest.raises(ShapeMismatch):
-            ablation_suite(graph, data, small_config("none"))
+            SUITES["table3"](lambda kind: small_config("none"), graph, data, ratios=[])
 
 
 class TestComparators:
