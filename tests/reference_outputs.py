@@ -2,8 +2,8 @@
 
 RUNS is a fixed set of ``orthoreg`` commands on the ``ingest --kind
 synthetic`` dataset: ``train`` with every regularizer kind (plus one
-orthoreg run with ``--eigens-every`` and one with ``--pooling
-second_hop_only``), ``simulate`` of every kind (plus ``closed-form`` on
+orthoreg run with ``--eigens-every``, one with ``--pooling
+second_hop_only`` and one with ``--tune``), ``simulate`` of every kind (plus ``closed-form`` on
 ``--graph star``) and every ``suite``. ``record`` runs them through
 ``orthoreg.cli.main`` and keeps, for each output file, the SHA-256 of its
 bytes and its values; for each ``checkpoint.npz``, the class each node is
@@ -64,6 +64,7 @@ RUNS = {
     "train-orthoreg-eigens": ["train", "--reg", "orthoreg", "--eigens-every", "2", *TRAIN],
     "train-orthoreg-second-hop": ["train", "--reg", "orthoreg", "--pooling",
                                   "second_hop_only", *TRAIN],
+    "train-orthoreg-tune": ["train", "--reg", "orthoreg", "--tune", *TRAIN],
     "simulate-closed-form": ["simulate", "--kind", "closed-form"],
     "simulate-closed-form-star": ["simulate", "--kind", "closed-form", "--graph", "star"],
     "simulate-gd-linear": ["simulate", "--kind", "gd-linear"],
