@@ -31,7 +31,7 @@ from .errors import ConfigError, OrthoRegError, check_range, check_ranges
 from .experiments import TrainConfig
 from .graphio import key_value_lines, load_dataset, save_dataset, write_csv, write_json, write_lines
 from .net import save_checkpoint
-from .reg import POOL_AVERAGE, POOL_SECOND_HOP, REG_KINDS, RegularizerSpec
+from .reg import POOL_AVERAGE, POOL_SECOND_HOP, REGULARIZERS, RegularizerSpec
 
 
 # config keys, named as their flags' dests: every RegularizerSpec field
@@ -270,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_train = sub.add_parser("train", help="train one configuration")
     _add_run_flags(p_train)
     p_train.add_argument("--config", help="flat key = value config file")
-    p_train.add_argument("--reg", choices=REG_KINDS)
+    p_train.add_argument("--reg", choices=list(REGULARIZERS))
     p_train.add_argument("--pooling", choices=[POOL_AVERAGE, POOL_SECOND_HOP])
     p_train.add_argument("--lr", type=float)
     p_train.add_argument("--dropout", dest="dropout_p", type=float)

@@ -34,7 +34,7 @@ from .net import (
     forward,
     init_mlp,
 )
-from .reg import REG_OPERATORS, REG_STRENGTHS, RegularizerSpec, regularizer_value_grad
+from .reg import REGULARIZERS, RegularizerSpec, regularizer_value_grad
 from .tensor import EigenReport, as_matrix, eigen_report, spmm, spmm_t
 
 THREADS_ENV = "ORTHOREG_THREADS"
@@ -47,30 +47,21 @@ DEFAULT_HYPERS = {
     "pubmed": (2e-6, 2e-6),
 }
 
-# Defaults for the strengths a regularizer kind reads (reg.REG_STRENGTHS)
-# that a run does not give, shared by `orthoreg train` and `orthoreg suite`
-# through resolve_regularizer: orthoreg's pair for a dataset outside
-# DEFAULT_HYPERS, and the laplacian's lam. A strength without an entry (lam
-# for preg and corr_identity) must be given. Every other setting defaults
-# to its TrainConfig / RegularizerSpec field.
-DEFAULT_STRENGTHS = {
-    "laplacian": {"lam": 0.1},
-    "orthoreg": {"alpha": 1e-3, "beta": 1e-6},
-}
-
 
 def resolve_regularizer(given: dict, dataset) -> RegularizerSpec:
     """RegularizerSpec(**given), with each strength its kind reads that
     ``given`` lacks taken from DEFAULT_HYPERS (orthoreg on a dataset
-    directory named after one of its datasets) or DEFAULT_STRENGTHS."""
+    directory named after one of its datasets) or the kind's
+    reg.REGULARIZERS row; a strength without a default there must be given.
+    Shared by `orthoreg train` and `orthoreg suite`."""
     spec = RegularizerSpec(**given)
-    defaults = dict(DEFAULT_STRENGTHS.get(spec.kind, {}))
+    defaults = dict(REGULARIZERS[spec.kind].strengths)
     name = os.path.basename(os.path.normpath(dataset)).lower()
     if spec.kind == "orthoreg" and name in DEFAULT_HYPERS:
         defaults["alpha"], defaults["beta"] = DEFAULT_HYPERS[name]
-    unset = [s for s in REG_STRENGTHS[spec.kind] if s not in given]
+    unset = [s for s in defaults if s not in given]
     for strength in unset:
-        if strength not in defaults:
+        if defaults[strength] is None:
             raise ConfigError(f"regularizer {spec.kind!r} needs {strength}: it has no default")
     return replace(spec, **{s: defaults[s] for s in unset})
 
@@ -186,7 +177,7 @@ def train(config: TrainConfig, graph: SparseGraph, data: Dataset, network=None):
     test_rows = np.searchsorted(scored, data.test_idx)
     val_labels, test_labels = data.labels[data.val_idx], data.labels[data.test_idx]
     state = adam_init(params, lr=config.lr, weight_decay=adam_decay)
-    op_kind = REG_OPERATORS[config.regularizer.kind]
+    op_kind = REGULARIZERS[config.regularizer.kind].operator
     operators = {} if op_kind is None else {op_kind: normalize(graph, op_kind)}
 
     records = []

@@ -13,9 +13,9 @@ Three families are implemented:
   smoothness) while off-diagonal entries are squared-penalized
   (decorrelated dimensions).
 
-REG_STRENGTHS lists the strengths each kind reads, and REG_OPERATORS the
-normalized operator it reads (``None`` for none and corr_identity);
-training builds just that operator.
+REGULARIZERS holds one row per kind: the normalized operator it reads
+(``None`` for none and corr_identity), which is the one training builds,
+each strength it reads with its default, and its ``value_grad``.
 
 Correlations standardize each column (see tensor.centered_columns), but
 no standardized N x D copy is formed: from the centered columns Hc, Sc
@@ -44,6 +44,7 @@ CSR of its transpose (graphio.NormalizedOperator.transposed).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -54,22 +55,30 @@ from .tensor import as_matrix, centered_columns, spmm, spmm_t
 POOL_AVERAGE = "average_1toT"
 POOL_SECOND_HOP = "second_hop_only"
 
-# the regularizer kinds and the strengths each one reads
-REG_STRENGTHS = {
-    "none": (),
-    "laplacian": ("lam",),
-    "preg": ("lam",),
-    "corr_identity": ("lam",),
-    "orthoreg": ("alpha", "beta"),
-}
-REG_KINDS = tuple(REG_STRENGTHS)
-# the normalized operator each kind reads (graphio's kind names), if any
-REG_OPERATORS = {
-    "none": None,
-    "laplacian": LAPLACIAN_KIND,
-    "preg": SYM_KIND,
-    "corr_identity": None,
-    "orthoreg": RW_KIND,
+
+@dataclass(frozen=True)
+class Regularizer:
+    """One regularizer kind: the normalized operator it reads (graphio's
+    kind names, or None), each strength it reads with its default (None:
+    a run must give it), and ``value_grad(h, op, spec)``."""
+
+    operator: str | None
+    strengths: dict
+    value_grad: Callable
+
+
+# Each value_grad looks its function up in this module at call time, so a
+# wrapper set on, say, ``reg.orthoreg_loss`` (perfbench/tracer.py) sees
+# every call.
+REGULARIZERS = {
+    "none": Regularizer(None, {}, lambda h, op, spec: (0.0, None)),
+    "laplacian": Regularizer(LAPLACIAN_KIND, {"lam": 0.1},
+                             lambda h, op, spec: laplacian_reg(h, op, spec.lam)),
+    "preg": Regularizer(SYM_KIND, {"lam": None}, lambda h, op, spec: p_reg(h, op, spec.lam)),
+    "corr_identity": Regularizer(None, {"lam": None},
+                                 lambda h, op, spec: corr_identity_reg(h, spec.lam)),
+    "orthoreg": Regularizer(RW_KIND, {"alpha": 1e-3, "beta": 1e-6},
+                            lambda h, op, spec: orthoreg_loss(h, op, spec)),
 }
 
 
@@ -77,9 +86,9 @@ REG_OPERATORS = {
 class RegularizerSpec:
     """Which regularizer to train with, and its strengths.
 
-    kinds (REG_KINDS): ``none``, ``laplacian`` (uses lam), ``preg`` (lam),
-    ``corr_identity`` (lam), ``orthoreg`` (alpha, beta, hops,
-    pooling); REG_STRENGTHS lists the strengths each reads.
+    kinds (REGULARIZERS): ``none``, ``laplacian`` (uses lam), ``preg``
+    (lam), ``corr_identity`` (lam), ``orthoreg`` (alpha, beta, hops,
+    pooling).
     """
 
     kind: str = "none"
@@ -90,7 +99,7 @@ class RegularizerSpec:
     pooling: str = POOL_AVERAGE
 
     def __post_init__(self):
-        if self.kind not in REG_KINDS:
+        if self.kind not in REGULARIZERS:
             raise ConfigError(f"unknown regularizer kind: {self.kind!r}")
         check_ranges(vars(self))
         _check_pooling(self.hops, self.pooling)
@@ -250,16 +259,8 @@ def corr_identity_reg(h, lam: float):
 
 
 def regularizer_value_grad(h, spec: RegularizerSpec, operators: dict):
-    """Dispatch on spec.kind; ``operators`` maps normalization kinds
-    ('laplacian', 'sym', 'rw') to prebuilt NormalizedOperators and holds at
-    least the one REG_OPERATORS names for spec.kind."""
-    if spec.kind == "none":
-        return 0.0, None
-    if spec.kind == "corr_identity":
-        return corr_identity_reg(h, spec.lam)
-    op = operators[REG_OPERATORS[spec.kind]]
-    if spec.kind == "laplacian":
-        return laplacian_reg(h, op, spec.lam)
-    if spec.kind == "preg":
-        return p_reg(h, op, spec.lam)
-    return orthoreg_loss(h, op, spec)
+    """spec.kind's REGULARIZERS row on H; ``operators`` maps normalization
+    kinds ('laplacian', 'sym', 'rw') to prebuilt NormalizedOperators and
+    holds at least the row's operator."""
+    row = REGULARIZERS[spec.kind]
+    return row.value_grad(h, operators[row.operator] if row.operator else None, spec)

@@ -10,7 +10,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from conftest import finite_difference, rel_err
-from orthoreg import experiments, graphio
+from orthoreg import experiments, graphio, reg
 from orthoreg.errors import ConfigError, Divergence, EmptyMask, ShapeMismatch
 from orthoreg.experiments import (
     SUITES,
@@ -31,7 +31,7 @@ from orthoreg.experiments import (
 )
 from orthoreg.graphio import mask_edges, normalize, select_isolated, write_json
 from orthoreg.net import cross_entropy, forward, init_mlp
-from orthoreg.reg import REG_OPERATORS, RegularizerSpec
+from orthoreg.reg import REGULARIZERS, RegularizerSpec
 from orthoreg.synth import sbm_graph
 
 
@@ -173,7 +173,7 @@ class TestTrainLoop:
 
         monkeypatch.setattr(experiments, "normalize", counting)
         train(dataclasses.replace(small_config(kind, **strengths), epochs=2), graph, data)
-        assert calls == built == [op for op in [REG_OPERATORS[kind]] if op is not None]
+        assert calls == built == [op for op in [REGULARIZERS[kind].operator] if op is not None]
 
     def test_regularized_beats_plain_mlp_on_homophilous_features(self, synthetic_problem):
         # noisy class prototypes + strongly homophilous structure: the
@@ -542,6 +542,29 @@ class TestResolveRegularizer:
 
     def test_unread_strengths_untouched(self):
         assert resolve_regularizer({}, "cora") == RegularizerSpec()
+
+    @pytest.mark.parametrize("kind", list(REGULARIZERS))
+    def test_every_kind_dispatches_to_its_function_and_resolves_its_defaults(self, kind, rng):
+        strengths = REGULARIZERS[kind].strengths
+        needed = [s for s, default in strengths.items() if default is None]
+        if needed:
+            with pytest.raises(ConfigError, match=f"needs {needed[0]}"):
+                resolve_regularizer({"kind": kind}, "elsewhere")
+        given = {s: 0.25 for s in needed}
+        spec = resolve_regularizer({"kind": kind, **given}, "elsewhere")
+        assert {s: getattr(spec, s) for s in strengths} == {**strengths, **given}
+
+        graph, _ = sbm_graph(12, seed=2)
+        ops = {op: normalize(graph, op) for op in ("laplacian", "sym", "rw")}
+        h = rng.standard_normal((12, 3))
+        direct = {"none": lambda: (0.0, None),
+                  "laplacian": lambda: reg.laplacian_reg(h, ops["laplacian"], spec.lam),
+                  "preg": lambda: reg.p_reg(h, ops["sym"], spec.lam),
+                  "corr_identity": lambda: reg.corr_identity_reg(h, spec.lam),
+                  "orthoreg": lambda: reg.orthoreg_loss(h, ops["rw"], spec)}[kind]()
+        value, grad = reg.regularizer_value_grad(h, spec, ops)
+        assert value == direct[0]
+        assert grad is direct[1] is None or np.array_equal(grad, direct[1])
 
 
 class TestRobustness:
