@@ -454,9 +454,7 @@ def sgc_comparator(
     for _ in range(k):
         feats = spmm(op, feats)
     config = replace(SGC_CONFIG, dims=[data.n_features, data.n_classes], seed=seed, trials=trials)
-    report = run_trials(config, graph, replace(data, features=feats))
-    report.extras["k"] = k
-    return report
+    return run_trials(config, graph, replace(data, features=feats))
 
 
 def gcn_forward(op, weights, biases, x, dropout_p=0.0, seed=0, train_mode=False):
