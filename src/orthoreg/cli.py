@@ -11,7 +11,8 @@ Configuration comes from an optional flat ``key = value`` file plus flags;
 flags override the file, and a setting given by neither takes its
 TrainConfig / RegularizerSpec default, or for a regularizer strength the
 defaults table in ``experiments``. Every run echoes the effective
-configuration to ``config.resolved`` in its output directory. Exit codes:
+configuration (for ``simulate`` and ``bench``, every flag) to
+``config.resolved`` in its output directory. Exit codes:
 0 success, otherwise the ``exit_code`` of the package error raised (2
 configuration error, 3 data error, 4 numerical divergence). ``stderr``
 carries human-readable messages; ``stdout`` carries at most one final JSON
@@ -83,18 +84,26 @@ def _train_config_from(merged: dict) -> TrainConfig:
     return TrainConfig(regularizer=spec, **{k: merged[k] for k in TRAIN_KEYS if k in merged})
 
 
-def _write_resolved(out_dir, merged: dict, config: TrainConfig | None = None) -> None:
+def _write_resolved(out_dir, lines: dict) -> None:
     os.makedirs(out_dir, exist_ok=True)
-    lines = {}
-    if config is not None:
-        lines.update({key if key == "reg" else f"reg.{key}": getattr(config.regularizer, f.name)
-                      for key, f in SPEC_KEYS.items()})
-        lines.update({key: getattr(config, key) for key in TRAIN_KEYS})
-    for k, v in merged.items():
-        if k in ("dataset", "out"):
-            lines[k] = v
     write_lines(os.path.join(out_dir, "config.resolved"),
                 (f"{key} = {lines[key]}" for key in sorted(lines)))
+
+
+def _resolved(config: TrainConfig, merged: dict) -> dict:
+    """A training run's config.resolved lines: every field of ``config`` (a
+    RegularizerSpec field as reg.<field>, the kind as reg) and the run's
+    dataset and out."""
+    lines = {key if key == "reg" else f"reg.{key}": getattr(config.regularizer, f.name)
+             for key, f in SPEC_KEYS.items()}
+    lines.update({key: getattr(config, key) for key in TRAIN_KEYS})
+    lines.update({key: merged[key] for key in ("dataset", "out") if key in merged})
+    return lines
+
+
+def _flags(args) -> dict:
+    """Every flag of a parsed command line, by its dest."""
+    return {key: value for key, value in vars(args).items() if key not in ("command", "func")}
 
 
 def _load(dataset_path: str):
@@ -164,7 +173,7 @@ def cmd_train(args) -> int:
         best = tuned["best"]
         config.regularizer = replace(config.regularizer, alpha=best["alpha"], beta=best["beta"])
 
-    _write_resolved(out_dir, merged, config)
+    _write_resolved(out_dir, _resolved(config, merged))
 
     def write_artifacts(params, history):
         experiments.write_metrics_jsonl(history, os.path.join(out_dir, "metrics.jsonl"))
@@ -194,7 +203,7 @@ def cmd_simulate(args) -> int:
     if run is not None:
         collapse.write_dynamics_csv(run, os.path.join(out_dir, "dynamics.csv"))
     write_json(os.path.join(out_dir, "verdict.json"), {"kind": args.kind, **asdict(verdict)})
-    _write_resolved(out_dir, {"out": out_dir})
+    _write_resolved(out_dir, {**_flags(args), "out": out_dir})
     print(json.dumps({"kind": args.kind, "monotone_ratio_ok": verdict.monotone_ratio_ok,
                       "out": out_dir}))
     return 0
@@ -218,7 +227,7 @@ def cmd_suite(args) -> int:
     _write_suite_outputs(out_dir, args.name,
                          [[label, r.mean_acc, r.std_acc, len(r.per_trial)] for label, r in rows],
                          ["row", "mean", "std", "n_trials"])
-    _write_resolved(out_dir, merged, ortho)
+    _write_resolved(out_dir, _resolved(ortho, merged))
     print(json.dumps({"suite": args.name, "out": out_dir}))
     return 0
 
@@ -230,7 +239,7 @@ def cmd_bench(args) -> int:
     rows = [[f"depth={r['depth']}", r["mlp_s"], r["gcn_s"], r["gcn_over_mlp"]]
             for r in experiments.inference_benchmark(graph, data, depths=depths, seed=args.seed)]
     _write_suite_outputs(out_dir, "bench", rows, ["row", "mlp_s", "gcn_s", "gcn_over_mlp"])
-    _write_resolved(out_dir, {"dataset": args.dataset, "out": out_dir})
+    _write_resolved(out_dir, {**_flags(args), "out": out_dir})
     print(json.dumps({"suite": "bench", "out": out_dir}))
     return 0
 

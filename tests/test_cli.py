@@ -670,6 +670,16 @@ class TestSimulate:
         detail = verdict["details"][0]
         assert detail["final_nesum"] < detail["initial_nesum"]
 
+    def test_records_every_flag(self, tmp_path, capsys):
+        out = str(tmp_path / "sim")
+        code, _, err = run_cli(capsys, "simulate", "--kind", "gd-linear", "--graph", "ring",
+                               "--n", "30", "--dim", "4", "--steps", "40", "--seed", "3",
+                               "--out", out)
+        assert code == 0, err
+        assert resolved(out) == {"kind": "gd-linear", "graph": "ring", "n": "30", "dim": "4",
+                                 "steps": "40", "seed": "3", "tau": "0.5", "sign": "1",
+                                 "alpha": "0.01", "beta": "1e-05", "lr": "200.0", "out": out}
+
     def test_tau_out_of_range_exits_2(self, tmp_path, capsys):
         code, _, err = run_cli(capsys, "simulate", "--kind", "feature-update",
                                "--tau", "1.5", "--out", str(tmp_path / "sim"))
@@ -810,6 +820,14 @@ class TestSuite:
         rows = Path(out, "bench.csv").read_text().splitlines()
         assert rows[0] == "row,mlp_s,gcn_s,gcn_over_mlp"
         assert len(rows) == 3
+
+    def test_bench_records_every_flag(self, dataset_dir, tmp_path, capsys):
+        out = str(tmp_path / "s")
+        code, _, err = run_cli(capsys, "bench", "--dataset", dataset_dir, "--out", out,
+                               "--depths", "2,3", "--seed", "5")
+        assert code == 0, err
+        assert resolved(out) == {"dataset": dataset_dir, "out": out, "depths": "2,3",
+                                 "seed": "5"}
 
     def test_coldstart_isolates_once(self, dataset_dir, tmp_path, capsys, monkeypatch):
         calls = []
