@@ -9,14 +9,14 @@ experiments.SUITES: table1, table3, coldstart, robustness), and ``bench``
 
 Configuration comes from an optional flat ``key = value`` file plus flags;
 flags override the file, and a setting given by neither takes its
-TrainConfig / RegularizerSpec default, or for a regularizer strength the
-defaults table in ``experiments``. Every run echoes the effective
-configuration (for ``simulate`` and ``bench``, every flag) to
-``config.resolved`` in its output directory. Exit codes:
-0 success, otherwise the ``exit_code`` of the package error raised (2
-configuration error, 3 data error, 4 numerical divergence). ``stderr``
-carries human-readable messages; ``stdout`` carries at most one final JSON
-line. ``ORTHOREG_THREADS`` caps trial-level parallelism.
+TrainConfig / RegularizerSpec default, or for a regularizer strength its
+kind's default (see experiments.resolve_regularizer). Every run echoes
+the effective configuration (for ``simulate`` and ``bench``, every flag)
+to ``config.resolved`` in its output directory. Exit codes: 0 success,
+otherwise the ``exit_code`` of the package error raised (2 configuration
+error, 3 data error, 4 numerical divergence). ``stderr`` carries
+human-readable messages; ``stdout`` carries at most one final JSON line.
+``ORTHOREG_THREADS`` caps trial-level parallelism.
 """
 
 from __future__ import annotations
@@ -75,8 +75,8 @@ def _merge_config(args, file_values: dict) -> dict:
 
 def _train_config_from(merged: dict) -> TrainConfig:
     """The TrainConfig of the merged settings: a regularizer strength that
-    is not set comes from the defaults table (see
-    experiments.resolve_regularizer), any other setting from its field."""
+    is not set takes its kind's default (see
+    experiments.resolve_regularizer), any other setting its field's."""
     spec = experiments.resolve_regularizer(
         {f.name: merged[key] for key, f in SPEC_KEYS.items() if key in merged},
         merged.get("dataset") or "",
