@@ -10,13 +10,13 @@ experiments.SUITES: table1, table3, coldstart, robustness), and ``bench``
 Configuration comes from an optional flat ``key = value`` file plus flags;
 flags override the file, and a setting given by neither takes its
 TrainConfig / RegularizerSpec default, or for a regularizer strength its
-kind's default (see experiments.resolve_regularizer). Every run echoes
-the effective configuration (for ``simulate`` and ``bench``, every flag)
-to ``config.resolved`` in its output directory. Exit codes: 0 success,
-otherwise the ``exit_code`` of the package error raised (2 configuration
-error, 3 data error, 4 numerical divergence). ``stderr`` carries
-human-readable messages; ``stdout`` carries at most one final JSON line.
-``ORTHOREG_THREADS`` caps trial-level parallelism.
+kind's default (reg.REGULARIZERS). Every run echoes the effective
+configuration (``simulate`` and ``bench``: every flag) to
+``config.resolved`` in its output directory. Exit codes:
+0 success, otherwise the ``exit_code`` of the package error raised (2
+configuration error, 3 data error, 4 numerical divergence). ``stderr``
+carries human-readable messages; ``stdout`` carries at most one final JSON
+line. ``ORTHOREG_THREADS`` caps trial-level parallelism.
 """
 
 from __future__ import annotations

@@ -60,16 +60,15 @@ POOL_SECOND_HOP = "second_hop_only"
 class Regularizer:
     """One regularizer kind: the normalized operator it reads (graphio's
     kind names, or None), each strength it reads with its default (None:
-    a run must give it), and ``value_grad(h, op, spec)``."""
+    a run must give it), and ``value_grad(h, op, spec)``, which looks its
+    function up in this module at call time, so a wrapper set on, say,
+    ``reg.orthoreg_loss`` (perfbench/tracer.py) sees every call."""
 
     operator: str | None
     strengths: dict
     value_grad: Callable
 
 
-# Each value_grad looks its function up in this module at call time, so a
-# wrapper set on, say, ``reg.orthoreg_loss`` (perfbench/tracer.py) sees
-# every call.
 REGULARIZERS = {
     "none": Regularizer(None, {}, lambda h, op, spec: (0.0, None)),
     "laplacian": Regularizer(LAPLACIAN_KIND, {"lam": 0.1},
