@@ -160,8 +160,8 @@ def cmd_ingest(args) -> int:
 
 def cmd_train(args) -> int:
     file_values = _parse_config_file(args.config) if args.config else {}
-    merged = _merge_config(args, file_values)
-    out_dir = merged.get("out", "runs/train")
+    merged = _merge_config(args, {"out": "runs/train", **file_values})
+    out_dir = merged["out"]
     config = _train_config_from(merged)
     graph, data = _load(merged.get("dataset"))
 
@@ -169,9 +169,9 @@ def cmd_train(args) -> int:
     if getattr(args, "tune", False):
         if config.regularizer.kind != "orthoreg":
             raise ConfigError("--tune applies to the orthoreg regularizer")
-        tuned = experiments.tune_coarse_grid(graph, data, base_config=config)
-        best = tuned["best"]
-        config.regularizer = replace(config.regularizer, alpha=best["alpha"], beta=best["beta"])
+        tuned = experiments.tune_coarse_grid(graph, data, base_config=config)["best"]
+        config.regularizer = replace(config.regularizer, alpha=tuned["alpha"],
+                                     beta=tuned["beta"])
 
     _write_resolved(out_dir, _resolved(config, merged))
 
@@ -181,9 +181,8 @@ def cmd_train(args) -> int:
         save_checkpoint(params, os.path.join(out_dir, "checkpoint.npz"))
 
     report = experiments.run_trials(config, graph, data, on_first_trial=write_artifacts)
-    if tuned is not None:
-        report.extras["tuned"] = tuned["best"]
-    write_json(os.path.join(out_dir, "report.json"), report.to_dict())
+    extras = {} if tuned is None else {"extras": {"tuned": tuned}}
+    write_json(os.path.join(out_dir, "report.json"), {**report.to_dict(), **extras})
     print(json.dumps({"mean_test_acc": report.mean_acc, "std": report.std_acc,
                       "out": out_dir}))
     return 0
@@ -234,8 +233,8 @@ def cmd_suite(args) -> int:
 
 def cmd_bench(args) -> int:
     out_dir = args.out or "runs/suite-bench"
+    depths = [check_range("depth", d) for d in _flag_values(args.depths, int, "--depths")]
     graph, data = _load(args.dataset)
-    depths = _flag_values(args.depths, int, "--depths")
     rows = [[f"depth={r['depth']}", r["mlp_s"], r["gcn_s"], r["gcn_over_mlp"]]
             for r in experiments.inference_benchmark(graph, data, depths=depths, seed=args.seed)]
     _write_suite_outputs(out_dir, "bench", rows, ["row", "mlp_s", "gcn_s", "gcn_over_mlp"])
@@ -289,7 +288,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--eigens-every", dest="eigens_every", type=int)
     p_train.add_argument("--patience", dest="early_stop_patience", type=int)
     p_train.add_argument("--tune", action="store_true",
-                         help="coarse-grid alpha/beta search before training")
+                         help="coarse-grid alpha/beta search before training: 12 full "
+                              "trainings at the run's epochs and patience")
     p_train.set_defaults(func=cmd_train)
 
     p_sim = sub.add_parser("simulate", help="collapse-dynamics simulations")

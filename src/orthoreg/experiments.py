@@ -118,7 +118,6 @@ class RunReport:
     per_trial: list
     config: dict
     wall_clock_s: float
-    extras: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         return {
@@ -127,7 +126,6 @@ class RunReport:
             "trials": list(self.per_trial),
             "config": self.config,
             "wall_clock_s": self.wall_clock_s,
-            **({"extras": self.extras} if self.extras else {}),
         }
 
 
@@ -403,21 +401,20 @@ def tune_coarse_grid(
     base_config: TrainConfig | None = None,
 ) -> dict:
     """Coarse grid over alpha and the alpha/beta ratio, selected on
-    validation accuracy with a single short run per cell."""
+    validation accuracy. Each cell is one full training run at the base
+    config's epochs and patience, so the default 4 x 3 grid costs twelve
+    trainings before the run's own trials. "best" is the first cell of
+    "table" with the highest val_acc."""
     cfg = base_config or TrainConfig()
-    best = None
     table = []
     for alpha in alphas:
         for ratio in ratios:
             beta = alpha / ratio
             spec = replace(cfg.regularizer, kind="orthoreg", alpha=alpha, beta=beta)
             _, history = train(replace(cfg, regularizer=spec), graph, data)
-            cell = {"alpha": alpha, "beta": beta, "val_acc": history.best_val_acc,
-                    "test_acc": history.best_test_acc}
-            table.append(cell)
-            if best is None or cell["val_acc"] > best["val_acc"]:
-                best = cell
-    return {"best": best, "table": table}
+            table.append({"alpha": alpha, "beta": beta, "val_acc": history.best_val_acc,
+                          "test_acc": history.best_test_acc})
+    return {"best": max(table, key=lambda cell: cell["val_acc"]), "table": table}
 
 
 # ---------------------------------------------------------------------------
@@ -556,51 +553,30 @@ def inference_benchmark(
     seed: int = 0,
 ) -> list:
     """Median wall-clock of feature-only MLP forward vs graph-convolution
-    forward at each depth, plus their ratio. Absolute numbers are machine
+    forward at each depth, plus their ratio. Every depth is checked before
+    any pass runs. Round 0 runs every pass once as a warm-up and is
+    discarded; each of the next ``reps`` rounds runs every pass once, depth
+    by depth with the MLP first, so background load bursts do not bias one
+    pass's median against another's. Absolute numbers are machine
     specific; the ratio is the meaningful output."""
+    depths = [int(check_range("depth", depth)) for depth in depths]
     op = _renormalized_operator(graph)
-    runners = []
+    passes = []
     for depth in depths:
-        check_range("depth", depth)
-        dims = [data.n_features] + [width] * (depth - 1) + [data.n_classes]
-        params = init_mlp(dims, seed=seed)
-        weights, biases = params.layer_weights, params.layer_biases
-
-        def mlp_once(params=params):
-            forward(params, data.features, train_mode=False)
-
-        def gcn_once(weights=weights, biases=biases):
-            gcn_forward(op, weights, biases, data.features, train_mode=False)
-
-        mlp_once()
-        gcn_once()
-        runners.append({"depth": int(depth), "mlp": mlp_once, "gcn": gcn_once,
-                        "mlp_times": [], "gcn_times": []})
-
-    # repetitions interleave across depths so background load bursts do not
-    # bias one depth's median against another's
-    for _ in range(reps):
-        for r in runners:
+        params = init_mlp([data.n_features] + [width] * (depth - 1) + [data.n_classes], seed=seed)
+        passes += [lambda p=params: forward(p, data.features, train_mode=False),
+                   lambda p=params: gcn_forward(op, p.layer_weights, p.layer_biases,
+                                                data.features, train_mode=False)]
+    times = np.empty((reps + 1, len(passes)))
+    for round_times in times:
+        for j, run in enumerate(passes):
             t0 = time.perf_counter()
-            r["mlp"]()
-            r["mlp_times"].append(time.perf_counter() - t0)
-            t0 = time.perf_counter()
-            r["gcn"]()
-            r["gcn_times"].append(time.perf_counter() - t0)
-
-    rows = []
-    for r in runners:
-        mlp_t = float(np.median(r["mlp_times"]))
-        gcn_t = float(np.median(r["gcn_times"]))
-        rows.append(
-            {
-                "depth": r["depth"],
-                "mlp_s": mlp_t,
-                "gcn_s": gcn_t,
-                "gcn_over_mlp": gcn_t / mlp_t,
-            }
-        )
-    return rows
+            run()
+            round_times[j] = time.perf_counter() - t0
+    medians = np.median(times[1:], axis=0).reshape(len(depths), 2)
+    return [{"depth": depth, "mlp_s": float(mlp_t), "gcn_s": float(gcn_t),
+             "gcn_over_mlp": float(gcn_t / mlp_t)}
+            for depth, (mlp_t, gcn_t) in zip(depths, medians)]
 
 
 # ---------------------------------------------------------------------------

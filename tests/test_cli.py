@@ -428,6 +428,21 @@ class TestTrain:
                [l for l in resolved_b.splitlines() if not l.startswith("out")]
 
 
+    def test_records_its_default_output_directory(self, dataset_dir, tmp_path, capsys,
+                                                  monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        short = ["--dataset", dataset_dir, "--epochs", "1", "--trials", "1"]
+        code, stdout, err = run_cli(capsys, "train", *short)
+        assert code == 0, err
+        assert json.loads(stdout)["out"] == "runs/train"
+        assert resolved("runs/train")["out"] == "runs/train"
+        # a config file's out beats the default, and the flag beats both
+        Path("run.cfg").write_text("out = from-file\n")
+        assert run_cli(capsys, "train", *short, "--config", "run.cfg")[0] == 0
+        assert resolved("from-file")["out"] == "from-file"
+        assert run_cli(capsys, "train", *short, "--config", "run.cfg", "--out", "flag")[0] == 0
+        assert resolved("flag")["out"] == "flag"
+
     def test_bad_thread_env_exits_2_naming_it(self, dataset_dir, tmp_path, capsys,
                                               monkeypatch):
         monkeypatch.setenv("ORTHOREG_THREADS", "many")
@@ -820,6 +835,12 @@ class TestSuite:
         rows = Path(out, "bench.csv").read_text().splitlines()
         assert rows[0] == "row,mlp_s,gcn_s,gcn_over_mlp"
         assert len(rows) == 3
+
+    def test_bench_checks_depths_before_loading_the_dataset(self, tmp_path, capsys):
+        code, _, err = run_cli(capsys, "bench", "--dataset", str(tmp_path / "nope"),
+                               "--out", str(tmp_path / "s"), "--depths", "2,0")
+        assert code == 2
+        assert "depth must be an integer in [1, inf), got 0" in err
 
     def test_bench_records_every_flag(self, dataset_dir, tmp_path, capsys):
         out = str(tmp_path / "s")

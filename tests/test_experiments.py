@@ -781,6 +781,15 @@ class TestTuner:
             assert spec == dataclasses.replace(base.regularizer, alpha=cell["alpha"],
                                                beta=cell["beta"])
 
+    def test_tied_val_acc_picks_the_first_cell(self, synthetic_problem, monkeypatch):
+        graph, data = synthetic_problem
+        val_accs = iter([0.5, 0.7, 0.6, 0.7])
+        monkeypatch.setattr(experiments, "train", lambda cfg, graph, data: (
+            None, SimpleNamespace(best_val_acc=next(val_accs), best_test_acc=0.5)))
+        result = tune_coarse_grid(graph, data, alphas=(0.05, 0.2), ratios=(1e2, 1e3))
+        assert result["best"] == result["table"][1]
+        assert result["best"] != result["table"][3]
+
 
 class TestInferenceBenchmark:
     def test_row_schema_and_positive_times(self, synthetic_problem):
@@ -795,6 +804,38 @@ class TestInferenceBenchmark:
         graph, data = synthetic_problem
         with pytest.raises(ConfigError, match="depth"):
             inference_benchmark(graph, data, depths=(0,))
+
+    @staticmethod
+    def record_passes(monkeypatch):
+        """Patch both forwards to append ("mlp"|"gcn", depth) before running."""
+        calls = []
+        mlp, gcn = experiments.forward, experiments.gcn_forward
+
+        def mlp_pass(params, x, **kwargs):
+            calls.append(("mlp", len(params.layer_weights)))
+            return mlp(params, x, **kwargs)
+
+        def gcn_pass(op, weights, biases, x, **kwargs):
+            calls.append(("gcn", len(weights)))
+            return gcn(op, weights, biases, x, **kwargs)
+
+        monkeypatch.setattr(experiments, "forward", mlp_pass)
+        monkeypatch.setattr(experiments, "gcn_forward", gcn_pass)
+        return calls
+
+    def test_warm_up_round_then_reps_interleaved_rounds(self, synthetic_problem, monkeypatch):
+        graph, data = synthetic_problem
+        calls = self.record_passes(monkeypatch)
+        rows = inference_benchmark(graph, data, depths=(2, 3), width=16, reps=3)
+        assert calls == [("mlp", 2), ("gcn", 2), ("mlp", 3), ("gcn", 3)] * 4
+        assert [r["depth"] for r in rows] == [2, 3]
+
+    def test_every_depth_is_checked_before_any_forward(self, synthetic_problem, monkeypatch):
+        graph, data = synthetic_problem
+        calls = self.record_passes(monkeypatch)
+        with pytest.raises(ConfigError, match="depth"):
+            inference_benchmark(graph, data, depths=(2, 0), width=16, reps=3)
+        assert calls == []
 
 
 class TestWriters:
