@@ -71,7 +71,7 @@ RANGES = {
     "n": "int [2, inf)", "tau": "[0, 1]", "dim": "int [1, inf)", "steps": "int [1, inf)",
     "mask ratio": "[0, 1]", "depth": "int [1, inf)", "ORTHOREG_THREADS": "int [1, inf)",
     "percentile": "(0, 100)", "k": "int [0, inf)", "snapshot_every": "int [1, inf)",
-    "history_every": "int [1, inf)",
+    "history_every": "int [1, inf)", "reps": "int [1, inf)",
 }
 _BOUNDS = {name: (rule != iv, iv, iv[0] == "(", *map(float, iv[1:-1].split(", ")), iv[-1] == ")")
            for name, rule in RANGES.items() for iv in [rule.removeprefix("int ")]}

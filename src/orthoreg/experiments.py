@@ -2,7 +2,9 @@
 (SUITES: transductive classification, ablations, cold-start isolation,
 edge-masking robustness), spectrum diagnostics during training, and the
 inference-time benchmark, plus the propagation (SGC-style) and
-graph-convolution comparators.
+graph-convolution comparators. The graph convolution is net's layer stack
+given the renormalized operator (``train(..., convolve=True)``), so every
+network trains through the one forward and backward.
 
 Everything is full batch and deterministic: all randomness flows from the
 config seed, per-trial seeds are ``seed + trial_index``, and the reported
@@ -25,7 +27,6 @@ from .errors import ConfigError, Divergence, EmptyMask, ShapeMismatch, check_ran
 from .graphio import (Dataset, SparseGraph, add_self_loops, mask_edges, normalize, select_isolated,
                       write_csv, write_lines)
 from .net import (
-    GradientBundle,
     MlpParams,
     adam_init,
     adam_step,
@@ -35,7 +36,7 @@ from .net import (
     init_mlp,
 )
 from .reg import REGULARIZERS, RegularizerSpec, regularizer_value_grad
-from .tensor import EigenReport, as_matrix, eigen_report, spmm, spmm_t
+from .tensor import EigenReport, eigen_report, spmm
 
 THREADS_ENV = "ORTHOREG_THREADS"
 
@@ -140,20 +141,21 @@ def _accuracy(logits: np.ndarray, labels: np.ndarray) -> float:
     return float(np.mean(np.argmax(logits, axis=1) == labels))
 
 
-def train(config: TrainConfig, graph: SparseGraph, data: Dataset, network=None):
+def train(config: TrainConfig, graph: SparseGraph, data: Dataset, convolve: bool = False):
     """Full-batch training with the configured regularizer injected at the
     embedding layer. Returns (best params, history); the returned parameters
     are from the epoch with the highest validation accuracy. The network is
     the MLP, trained on ``data.training_input`` (sparse features in CSR
-    form), unless ``network(graph, config)`` builds
-    another forward/backward pair over the same parameters (see
-    GraphConvolution).
+    form). With ``convolve`` it is the graph convolution over the graph's
+    renormalized operator (net's layer stack given ``op``), trained on the
+    dense ``data.features``; its weight decay is an L2 term on layer 0's
+    gradient, so Adam's decoupled decay is off.
 
     Each epoch's val/test accuracy comes from an eval forward of the
     val ∪ test rows only, whose logits can differ from the full pass's rows
     in the last bit (README). The full pass runs instead on an epoch with an
-    eigen report, which reads H for every row, and for every epoch of a
-    ``network``, whose propagation needs every row. An empty split raises
+    eigen report, which reads H for every row, and on every epoch of a
+    convolution, whose propagation needs every row. An empty split raises
     EmptyMask naming it before anything is built."""
     for name in ("train", "val", "test"):
         if np.size(getattr(data, f"{name}_idx")) == 0:
@@ -162,15 +164,11 @@ def train(config: TrainConfig, graph: SparseGraph, data: Dataset, network=None):
     dims = config.resolve_dims(data.n_features, data.n_classes)
     params = init_mlp(dims, seed=config.seed)
     scored = np.union1d(data.val_idx, data.test_idx)
-    if network is None:
-        net_forward, net_backward = forward, backward
-        x, adam_decay = data.training_input, config.weight_decay
-        x_scored = x[scored]
+    if convolve:
+        op, x, adam_decay = _renormalized_operator(graph), data.features, 0.0
     else:
-        net = network(graph, config)
-        net_forward, net_backward = net.forward, net.backward
-        x, adam_decay = data.features, net.adam_weight_decay
-        x_scored = None
+        op, x, adam_decay = None, data.training_input, config.weight_decay
+        x_scored = x[scored]
     val_rows = np.searchsorted(scored, data.val_idx)
     test_rows = np.searchsorted(scored, data.test_idx)
     val_labels, test_labels = data.labels[data.val_idx], data.labels[data.test_idx]
@@ -184,12 +182,13 @@ def train(config: TrainConfig, graph: SparseGraph, data: Dataset, network=None):
     since_improvement = 0
     with np.errstate(over="ignore", invalid="ignore"):  # the Divergence checks report a blow-up
         for epoch in range(1, config.epochs + 1):
-            h, logits, cache = net_forward(
+            h, logits, cache = forward(
                 params,
                 x,
                 dropout_p=config.dropout_p,
                 seed=_dropout_seed(config.seed, epoch),
                 train_mode=True,
+                op=op,
             )
             if not (np.all(np.isfinite(h)) and np.all(np.isfinite(logits))):
                 raise Divergence(f"activations became non-finite at epoch {epoch}")
@@ -198,15 +197,18 @@ def train(config: TrainConfig, graph: SparseGraph, data: Dataset, network=None):
             total = sup_loss + reg_loss
             if not (np.isfinite(total) and (grad_h is None or np.all(np.isfinite(grad_h)))):
                 raise Divergence(f"loss or regularizer gradient became non-finite at epoch {epoch}")
-            grads = net_backward(params, cache, grad_logits, grad_h)
+            grads = backward(params, cache, grad_logits, grad_h, op=op)
+            if convolve and config.weight_decay > 0.0:
+                grads.weight_grads[0] = (grads.weight_grads[0]
+                                         + config.weight_decay * params.layer_weights[0])
             adam_step(params, grads, state)
 
             eig = None
             eigen_epoch = config.eigens_every > 0 and epoch % config.eigens_every == 0
-            if x_scored is None or eigen_epoch:
+            if convolve or eigen_epoch:
                 # neither H nor the eval cache is kept: held into the next epoch
                 # they would sit under that epoch's train-mode peak
-                h_eval, logits_eval = net_forward(params, x, train_mode=False)[:2]
+                h_eval, logits_eval = forward(params, x, train_mode=False, op=op)[:2]
                 logits_eval = logits_eval[scored]
                 if eigen_epoch:
                     eig = eigen_report(h_eval)
@@ -284,11 +286,11 @@ def run_trials(
     data: Dataset,
     graph_per_trial=None,
     on_first_trial=None,
-    network=None,
+    convolve: bool = False,
 ) -> RunReport:
     """Repeat training over ``config.trials`` derived seeds and aggregate test
     accuracy (mean, population std). ``graph_per_trial`` (trial ->
-    SparseGraph) lets sweeps vary the structure per trial; ``network`` is
+    SparseGraph) lets sweeps vary the structure per trial; ``convolve`` is
     passed on to train(); ``on_first_trial(params, history)`` receives
     trial 0's result, so a caller can keep its artifacts without training
     it again."""
@@ -298,7 +300,7 @@ def run_trials(
     def one(trial: int) -> float:
         cfg = replace(config, seed=config.seed + trial)
         g = graph if graph_per_trial is None else graph_per_trial(trial)
-        params, history = train(cfg, g, data, network=network)
+        params, history = train(cfg, g, data, convolve=convolve)
         if trial == 0 and on_first_trial is not None:
             on_first_trial(params, history)
         return history.best_test_acc
@@ -419,7 +421,7 @@ def tune_coarse_grid(
 
 # ---------------------------------------------------------------------------
 # comparators: k-step propagation + linear classifier, and a two-layer
-# graph convolution trained with hand-derived gradients
+# graph convolution (train(..., convolve=True))
 # ---------------------------------------------------------------------------
 
 
@@ -454,81 +456,6 @@ def sgc_comparator(
     return run_trials(config, graph, replace(data, features=feats))
 
 
-def gcn_forward(op, weights, biases, x, dropout_p=0.0, seed=0, train_mode=False):
-    """Two-or-more layer graph convolution: each layer propagates the linear
-    transform through spmm, which checks shapes only; ReLU between layers.
-    As in net.forward only ``x`` is checked, so a numerical blow-up inside
-    the layers reaches the logits, where train() reports it as Divergence.
-    Dropout acts on each layer's input; the cache holds those inputs and
-    the dropout scale, and gcn_backward gates each ReLU with the next
-    layer's input, as net.backward does."""
-    x = as_matrix(x, "x")
-    if x.shape[0] != op.n_nodes:
-        raise ShapeMismatch(f"operator acts on {op.n_nodes} nodes but x has {x.shape[0]} rows")
-    scale = 1.0 / (1.0 - dropout_p) if train_mode and dropout_p > 0.0 else None
-    rng = None if scale is None else np.random.default_rng(seed)
-    inputs = []
-    act = x
-    for i, (w, b) in enumerate(zip(weights, biases)):
-        if scale is not None:
-            act = act * (rng.random(act.shape) >= dropout_p)
-            act *= scale
-        inputs.append(act)
-        act = spmm(op, act @ w)
-        act += b
-        if i < len(weights) - 1:
-            np.maximum(act, 0.0, out=act)
-    return act, {"inputs": inputs, "scale": scale}
-
-
-def gcn_backward(op, weights, cache, grad_logits, weight_decay=0.0):
-    """Exact gradients for gcn_forward; propagation is undone with the
-    transposed operator. A hidden unit passed the gradient exactly when the
-    next layer's input is positive there (ReLU open and unit kept). The
-    gradient with respect to the input features is not formed."""
-    inputs, scale = cache["inputs"], cache["scale"]
-    grad_ws, grad_bs = [None] * len(weights), [None] * len(weights)
-    g = grad_logits
-    for i in reversed(range(len(weights))):
-        if i < len(weights) - 1:
-            g = g * (inputs[i + 1] > 0.0)
-        back = spmm_t(op, g)
-        grad_ws[i] = inputs[i].T @ back
-        grad_bs[i] = g.sum(axis=0)
-        if weight_decay > 0.0 and i == 0:
-            grad_ws[i] = grad_ws[i] + weight_decay * weights[i]
-        if i > 0:
-            g = back @ weights[i].T
-            if scale is not None:
-                g *= scale
-    return grad_ws, grad_bs
-
-
-class GraphConvolution:
-    """gcn_forward/gcn_backward as the network train() drives, over the
-    renormalized operator of the graph it is built on. H is the logits.
-    train() gives it the dense features, which its input dropout multiplies
-    by a dense boolean keep mask and the scale. Its weight decay is an L2
-    term on layer 0's gradient, so Adam's decoupled decay is off."""
-
-    adam_weight_decay = 0.0
-
-    def __init__(self, graph: SparseGraph, config: TrainConfig):
-        self.op = _renormalized_operator(graph)
-        self.weight_decay = config.weight_decay
-
-    def forward(self, params: MlpParams, x, **kwargs):
-        logits, cache = gcn_forward(self.op, params.layer_weights, params.layer_biases, x, **kwargs)
-        return logits, logits, cache
-
-    def backward(self, params: MlpParams, cache, grad_logits, grad_h=None):
-        if grad_h is not None:
-            grad_logits = grad_logits + grad_h
-        grad_ws, grad_bs = gcn_backward(self.op, params.layer_weights, cache,
-                                        grad_logits, self.weight_decay)
-        return GradientBundle(grad_ws, grad_bs, grad_logits)
-
-
 def gcn_comparator(
     graph: SparseGraph,
     data: Dataset,
@@ -537,11 +464,10 @@ def gcn_comparator(
     graph_per_trial=None,
 ) -> RunReport:
     """Two-layer graph convolution with GCN_CONFIG's settings, trained full
-    batch by run_trials()."""
+    batch by run_trials(..., convolve=True)."""
     config = replace(GCN_CONFIG, dims=[data.n_features, GCN_CONFIG.hidden, data.n_classes],
                      seed=seed, trials=trials)
-    return run_trials(config, graph, data, graph_per_trial=graph_per_trial,
-                      network=GraphConvolution)
+    return run_trials(config, graph, data, graph_per_trial=graph_per_trial, convolve=True)
 
 
 def inference_benchmark(
@@ -553,20 +479,21 @@ def inference_benchmark(
     seed: int = 0,
 ) -> list:
     """Median wall-clock of feature-only MLP forward vs graph-convolution
-    forward at each depth, plus their ratio. Every depth is checked before
+    forward (the same forward given the renormalized operator) at each
+    depth, plus their ratio. Every depth and ``reps`` are checked before
     any pass runs. Round 0 runs every pass once as a warm-up and is
     discarded; each of the next ``reps`` rounds runs every pass once, depth
     by depth with the MLP first, so background load bursts do not bias one
     pass's median against another's. Absolute numbers are machine
     specific; the ratio is the meaningful output."""
     depths = [int(check_range("depth", depth)) for depth in depths]
+    check_range("reps", reps)
     op = _renormalized_operator(graph)
     passes = []
     for depth in depths:
         params = init_mlp([data.n_features] + [width] * (depth - 1) + [data.n_classes], seed=seed)
         passes += [lambda p=params: forward(p, data.features, train_mode=False),
-                   lambda p=params: gcn_forward(op, p.layer_weights, p.layer_biases,
-                                                data.features, train_mode=False)]
+                   lambda p=params: forward(p, data.features, train_mode=False, op=op)]
     times = np.empty((reps + 1, len(passes)))
     for round_times in times:
         for j, run in enumerate(passes):

@@ -12,6 +12,13 @@ The input may be a dense array or a scipy sparse matrix; only the first
 layer's products see it, and both formats share the same arithmetic from
 the first activation on.
 
+Given a normalized graph operator ``op``, the same stack is a graph
+convolution (Kipf & Welling): train-mode dropout also drops the raw input,
+every layer's product, the classifier's included, is propagated with
+``spmm(op, .)`` before its bias, and the backward pass undoes each
+propagation with ``spmm_t(op, .)``. H is then the last hidden layer, as
+for the MLP.
+
 Each encoder layer computes its output in place on the array its product
 allocates: bias, ReLU, then the dropout keep mask and the 1 / (1 - p)
 scale. The forward cache holds only what the weight gradients read: every
@@ -33,7 +40,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import EmptyMask, MissingFile, ParseError, ShapeMismatch
-from .tensor import as_matrix
+from .tensor import as_matrix, spmm, spmm_t
 
 
 @dataclass
@@ -83,12 +90,15 @@ def forward(
     dropout_p: float = 0.0,
     seed: int = 0,
     train_mode: bool = False,
+    op=None,
 ):
     """Run the network; returns (H, logits, cache) where H is the
     penultimate activation (the embedding the classifier consumes, with its
     dropout already applied in train mode). ``x`` is a dense array or a
     scipy sparse matrix; a sparse one is checked for finiteness on its
-    stored entries only."""
+    stored entries only. With ``op`` the network is a graph convolution
+    over it (module docstring): the input dropout takes the RNG's first
+    draw, and spmm rejects an ``x`` whose rows are not op's nodes."""
     if sp.issparse(x):
         if x.ndim != 2:
             raise ShapeMismatch(f"x must be 2-D, got ndim={x.ndim}")
@@ -102,11 +112,18 @@ def forward(
         )
     scale = 1.0 / (1.0 - dropout_p) if train_mode and dropout_p > 0.0 else None
     rng = None if scale is None else np.random.default_rng(seed)
+    if op is not None and scale is not None:
+        keep = rng.random(x.shape) >= dropout_p
+        # elementwise for sparse x too, where * would be a matrix product
+        x = x.multiply(keep) if sp.issparse(x) else x * keep
+        x *= scale
     inputs = []
     activation = x
     for w, b in zip(params.layer_weights[:-1], params.layer_biases[:-1]):
         inputs.append(activation)
         post = activation @ w
+        if op is not None:
+            post = spmm(op, post)
         post += b
         np.maximum(post, 0.0, out=post)
         if scale is not None:
@@ -114,7 +131,10 @@ def forward(
             post *= scale
         activation = post
     h = activation
-    logits = h @ params.layer_weights[-1] + params.layer_biases[-1]
+    logits = h @ params.layer_weights[-1]
+    if op is not None:
+        logits = spmm(op, logits)
+    logits += params.layer_biases[-1]
     cache = {"inputs": inputs, "h": h, "scale": scale}
     return h, logits, cache
 
@@ -154,21 +174,26 @@ class GradientBundle:
 
 
 def backward(
-    params: MlpParams, cache, grad_logits, external_grad_h=None
+    params: MlpParams, cache, grad_logits, external_grad_h=None, op=None
 ) -> GradientBundle:
     """Exact gradients of (supervised loss + <external_grad_h, H>) w.r.t.
     every parameter; ``external_grad_h`` is injected at the embedding layer
     and propagated down the encoder. The gradient with respect to the input
     features is not formed. Only the shape of ``external_grad_h`` is
     checked: train() derives both gradients itself, and its Divergence
-    check has read the loss and the regularizer's gradient."""
+    check has read the loss and the regularizer's gradient. ``op`` is the
+    operator the forward pass convolved with: each layer's gradient goes
+    through spmm_t(op, .) before its weight gradient and the gradient of
+    the layer below are formed, while its bias gradient sums the
+    unpropagated one."""
     h = cache["h"]
     weight_grads = [None] * params.n_layers
     bias_grads = [None] * params.n_layers
 
-    weight_grads[-1] = h.T @ grad_logits
+    back = grad_logits if op is None else spmm_t(op, grad_logits)
+    weight_grads[-1] = h.T @ back
     bias_grads[-1] = grad_logits.sum(axis=0)
-    grad_h = grad_logits @ params.layer_weights[-1].T
+    grad_h = back @ params.layer_weights[-1].T
     if external_grad_h is not None:
         if external_grad_h.shape != h.shape:
             raise ShapeMismatch(
@@ -185,10 +210,11 @@ def backward(
         g = grad_act * (outputs[i] > 0.0)
         if scale is not None:
             g *= scale
-        weight_grads[i] = inputs[i].T @ g
+        back = g if op is None else spmm_t(op, g)
+        weight_grads[i] = inputs[i].T @ back
         bias_grads[i] = g.sum(axis=0)
         if i > 0:
-            grad_act = g @ params.layer_weights[i].T
+            grad_act = back @ params.layer_weights[i].T
 
     return GradientBundle(
         weight_grads=weight_grads, bias_grads=bias_grads, grad_h=grad_h

@@ -625,7 +625,7 @@ class TestExitCodes:
 
 # RANGES entries that only library callers set, and the flag that sets each
 # entry no flag's dest names
-LIBRARY_ONLY_RANGES = {"percentile", "k", "snapshot_every", "history_every"}
+LIBRARY_ONLY_RANGES = {"percentile", "k", "snapshot_every", "history_every", "reps"}
 LIST_FLAG_RANGES = {"mask ratio": "--ratios", "depth": "--depths"}
 
 

@@ -1,5 +1,6 @@
 import json
 import os
+import warnings
 from types import SimpleNamespace
 
 import dataclasses
@@ -17,9 +18,7 @@ from orthoreg.experiments import (
     TrainConfig,
     coldstart_split,
     evaluate,
-    gcn_backward,
     gcn_comparator,
-    gcn_forward,
     inference_benchmark,
     resolve_regularizer,
     run_trials,
@@ -30,7 +29,7 @@ from orthoreg.experiments import (
     write_spectrum_csv,
 )
 from orthoreg.graphio import mask_edges, normalize, select_isolated, write_json
-from orthoreg.net import cross_entropy, forward, init_mlp
+from orthoreg.net import backward, cross_entropy, forward, init_mlp
 from orthoreg.reg import REGULARIZERS, RegularizerSpec
 from orthoreg.synth import sbm_graph
 
@@ -267,18 +266,19 @@ class TestSparseTraining:
         assert first.records == second.records
 
 
-def record_eval_rows(monkeypatch, attr: str, x_arg: int) -> list:
-    """Wrap ``experiments.<attr>`` and return the list it appends the row
-    count of every eval-mode call to; ``x_arg`` is the input's position."""
+def record_eval_rows(monkeypatch, convolution: bool = False) -> list:
+    """Wrap ``experiments.forward`` and return the list it appends the row
+    count of every eval-mode call to: the MLP's calls, or with
+    ``convolution`` the graph convolution's (those given an ``op``)."""
     rows = []
-    original = getattr(experiments, attr)
+    original = experiments.forward
 
-    def recording(*args, **kwargs):
-        if not kwargs.get("train_mode", False):
-            rows.append(args[x_arg].shape[0])
-        return original(*args, **kwargs)
+    def recording(params, x, **kwargs):
+        if not kwargs.get("train_mode", False) and (kwargs.get("op") is not None) == convolution:
+            rows.append(x.shape[0])
+        return original(params, x, **kwargs)
 
-    monkeypatch.setattr(experiments, attr, recording)
+    monkeypatch.setattr(experiments, "forward", recording)
     return rows
 
 
@@ -312,7 +312,7 @@ class TestScoredRows:
     def test_mlp_forwards_scored_rows_except_on_eigen_epochs(self, synthetic_problem,
                                                              monkeypatch):
         graph, data = synthetic_problem
-        rows = record_eval_rows(monkeypatch, "forward", 1)
+        rows = record_eval_rows(monkeypatch)
         cfg = dataclasses.replace(small_config("orthoreg", alpha=0.05, beta=5e-5),
                                   epochs=7, eigens_every=3)
         _, history = train(cfg, graph, data)
@@ -323,10 +323,10 @@ class TestScoredRows:
 
     def test_graph_convolution_forwards_every_row(self, synthetic_problem, monkeypatch):
         graph, data = synthetic_problem
-        mlp_rows = record_eval_rows(monkeypatch, "forward", 1)
-        gcn_rows = record_eval_rows(monkeypatch, "gcn_forward", 3)
+        mlp_rows = record_eval_rows(monkeypatch)
+        gcn_rows = record_eval_rows(monkeypatch, convolution=True)
         cfg = dataclasses.replace(small_config("none"), epochs=4)
-        train(cfg, graph, data, network=experiments.GraphConvolution)
+        train(cfg, graph, data, convolve=True)
         assert mlp_rows == []
         assert gcn_rows == [data.n_nodes] * 4
 
@@ -418,7 +418,7 @@ class TestEvaluate:
         graph, data = sparse_problem(synthetic_problem)
         params = init_mlp([data.n_features, 8, data.n_classes], seed=0)
         expected = full_pass_accuracy(params, data.features, data.labels, data.val_idx)
-        rows = record_eval_rows(monkeypatch, "forward", 1)
+        rows = record_eval_rows(monkeypatch)
         for features in (data.features, sp.csr_matrix(data.features), sp.coo_matrix(data.features)):
             assert evaluate(params, features, data.labels, data.val_idx) == expected
         assert rows == [data.val_idx.size] * 3
@@ -644,12 +644,13 @@ class TestComparators:
         labels = rng.integers(0, 2, size=6)
         idx = np.array([0, 2, 5])
 
-        logits, cache = gcn_forward(op, weights, biases, x)
+        _, logits, cache = forward(params, x, op=op)
         _, grad_logits = cross_entropy(logits, labels, idx)
-        grad_ws, grad_bs = gcn_backward(op, weights, cache, grad_logits)
+        grads = backward(params, cache, grad_logits, op=op)
+        grad_ws, grad_bs = grads.weight_grads, grads.bias_grads
 
         def objective():
-            lg, _ = gcn_forward(op, weights, biases, x)
+            lg = forward(params, x, op=op)[1]
             return cross_entropy(lg, labels, idx)[0]
 
         for li in range(2):
@@ -730,7 +731,7 @@ class TestComparators:
         bad[3, 1] = np.nan
         for x in (bad, data.features[:-1]):
             with pytest.raises(ShapeMismatch):
-                gcn_forward(op, params.layer_weights, params.layer_biases, x)
+                forward(params, x, op=op)
 
     @pytest.mark.parametrize("kwargs, field", [
         (dict(lr=-1.0), "lr"), (dict(dropout_p=1.0), "dropout_p"),
@@ -805,22 +806,28 @@ class TestInferenceBenchmark:
         with pytest.raises(ConfigError, match="depth"):
             inference_benchmark(graph, data, depths=(0,))
 
+    def test_reps_must_be_positive(self, synthetic_problem, monkeypatch):
+        graph, data = synthetic_problem
+        calls = self.record_passes(monkeypatch)
+        with np.errstate(all="raise"), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match="reps"):
+                inference_benchmark(graph, data, depths=(2,), width=16, reps=0)
+        assert calls == []
+
     @staticmethod
     def record_passes(monkeypatch):
-        """Patch both forwards to append ("mlp"|"gcn", depth) before running."""
+        """Patch forward to append ("mlp"|"gcn", depth) before running; a
+        graph convolution's call is the one given an ``op``."""
         calls = []
-        mlp, gcn = experiments.forward, experiments.gcn_forward
+        original = experiments.forward
 
-        def mlp_pass(params, x, **kwargs):
-            calls.append(("mlp", len(params.layer_weights)))
-            return mlp(params, x, **kwargs)
+        def recording(params, x, **kwargs):
+            kind = "mlp" if kwargs.get("op") is None else "gcn"
+            calls.append((kind, len(params.layer_weights)))
+            return original(params, x, **kwargs)
 
-        def gcn_pass(op, weights, biases, x, **kwargs):
-            calls.append(("gcn", len(weights)))
-            return gcn(op, weights, biases, x, **kwargs)
-
-        monkeypatch.setattr(experiments, "forward", mlp_pass)
-        monkeypatch.setattr(experiments, "gcn_forward", gcn_pass)
+        monkeypatch.setattr(experiments, "forward", recording)
         return calls
 
     def test_warm_up_round_then_reps_interleaved_rounds(self, synthetic_problem, monkeypatch):

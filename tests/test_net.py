@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 import mlp_oracle as oracle
 from conftest import finite_difference, rel_err
 from orthoreg.errors import EmptyMask, MissingFile, ParseError, ShapeMismatch
-from orthoreg.experiments import gcn_backward, gcn_forward
 from orthoreg.graphio import normalize
 from orthoreg.net import (
     GradientBundle,
@@ -527,12 +526,33 @@ class TestAgainstMlpOracle:
         for b in biases:
             b[:] = 0.1 * rng.standard_normal(b.shape)
         kwargs = dict(dropout_p=dropout_p, seed=7, train_mode=train_mode)
-        logits, cache = gcn_forward(op, weights, biases, x, **kwargs)
+        _, logits, cache = forward(params, x, op=op, **kwargs)
         logits_old, cache_old = oracle.gcn_forward(op, weights, biases, x, **kwargs)
-        assert set(cache) == {"inputs", "scale"}
         grad_logits = rng.standard_normal(logits.shape)
-        new = gcn_backward(op, weights, cache, grad_logits, weight_decay)
+        grads = backward(params, cache, grad_logits, op=op)
+        if weight_decay > 0.0:  # the L2 term, as train(..., convolve=True) adds it
+            grads.weight_grads[0] = grads.weight_grads[0] + weight_decay * weights[0]
+        new = (grads.weight_grads, grads.bias_grads)
         old = oracle.gcn_backward(op, weights, cache_old, grad_logits, weight_decay)
         for a, b in zip([logits, *new[0], *new[1]], [logits_old, *old[0], *old[1]]):
             assert np.array_equal(a, b)
             assert np.array_equal(np.signbit(a), np.signbit(b))
+
+    @pytest.mark.parametrize("n, f", [(6, 6), (8, 5)], ids=["square", "wide"])
+    def test_gcn_csr_input_drops_elementwise(self, rng, n, f):
+        # a CSR input's dropout is elementwise, as the dense one's: for a
+        # scipy matrix, x * keep would be a matrix product (square x) or fail
+        g, _ = sbm_graph(n, n_blocks=2, intra_p=0.6, inter_p=0.2, seed=1)
+        op = normalize(g, "sym")
+        x = np.where(rng.random((n, f)) < 0.5, rng.standard_normal((n, f)), 0.0)
+        params = init_mlp([f, 7, 3], seed=2)
+        grad_logits = rng.standard_normal((n, 3))
+        out = []
+        for inp in (x, sp.csr_matrix(x)):
+            h, logits, cache = forward(params, inp, dropout_p=0.5, seed=7, train_mode=True,
+                                       op=op)
+            grads = backward(params, cache, grad_logits, op=op)
+            out.append([h, logits, *grads.weight_grads, *grads.bias_grads, grads.grad_h])
+        for dense, csr in zip(*out):
+            assert isinstance(csr, np.ndarray) and csr.shape == dense.shape
+            assert np.abs(csr - dense).max() <= 1e-10 * max(np.abs(dense).max(), 1.0)
