@@ -10,10 +10,12 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
+import mlp_oracle as oracle
 from conftest import finite_difference, rel_err
 from orthoreg import experiments, graphio, reg
 from orthoreg.errors import ConfigError, Divergence, EmptyMask, ShapeMismatch
 from orthoreg.experiments import (
+    GCN_CONFIG,
     SUITES,
     TrainConfig,
     coldstart_split,
@@ -636,6 +638,9 @@ class TestComparators:
         assert k2.mean_acc > k0.mean_acc + 0.1
 
     def test_gcn_gradients_match_finite_differences(self, rng):
+        # once on the supervised loss alone, once with <G, H> added, H being
+        # the last hidden layer and G going down the propagated layers as
+        # external_grad_h
         g, _ = sbm_graph(6, n_blocks=2, intra_p=0.8, inter_p=0.3, seed=0)
         op = normalize(g, "sym")
         params = init_mlp([3, 4, 2], seed=1)
@@ -644,36 +649,71 @@ class TestComparators:
         labels = rng.integers(0, 2, size=6)
         idx = np.array([0, 2, 5])
 
-        _, logits, cache = forward(params, x, op=op)
-        _, grad_logits = cross_entropy(logits, labels, idx)
-        grads = backward(params, cache, grad_logits, op=op)
-        grad_ws, grad_bs = grads.weight_grads, grads.bias_grads
+        for grad_h in (None, rng.standard_normal((6, 4))):
+            _, logits, cache = forward(params, x, op=op)
+            _, grad_logits = cross_entropy(logits, labels, idx)
+            grads = backward(params, cache, grad_logits, grad_h, op=op)
+            grad_ws, grad_bs = grads.weight_grads, grads.bias_grads
 
-        def objective():
-            lg = forward(params, x, op=op)[1]
-            return cross_entropy(lg, labels, idx)[0]
+            def objective(grad_h=grad_h):
+                h, lg, _ = forward(params, x, op=op)
+                val = cross_entropy(lg, labels, idx)[0]
+                return val if grad_h is None else val + float(np.sum(grad_h * h))
 
-        for li in range(2):
-            w = weights[li]
+            for li in range(2):
+                w = weights[li]
 
-            def f_w(wv, w=w):
-                saved = w.copy()
-                w[:] = wv
-                val = objective()
-                w[:] = saved
-                return val
+                def f_w(wv, w=w, objective=objective):
+                    saved = w.copy()
+                    w[:] = wv
+                    val = objective()
+                    w[:] = saved
+                    return val
 
-            assert rel_err(grad_ws[li], finite_difference(f_w, w.copy())) < 1e-4
-            b = biases[li]
+                assert rel_err(grad_ws[li], finite_difference(f_w, w.copy())) < 1e-4
+                b = biases[li]
 
-            def f_b(bv, b=b):
-                saved = b.copy()
-                b[:] = bv
-                val = objective()
-                b[:] = saved
-                return val
+                def f_b(bv, b=b, objective=objective):
+                    saved = b.copy()
+                    b[:] = bv
+                    val = objective()
+                    b[:] = saved
+                    return val
 
-            assert rel_err(grad_bs[li], finite_difference(f_b, b.copy())) < 1e-4
+                assert rel_err(grad_bs[li], finite_difference(f_b, b.copy())) < 1e-4
+
+    def test_gcn_weight_decay_is_a_layer0_l2_term(self, synthetic_problem, monkeypatch):
+        # train(..., convolve=True)'s first step against the oracle's
+        # convolution, whose backward adds the L2 term to layer 0
+        graph, data = synthetic_problem
+        dims = [data.n_features, 16, data.n_classes]
+        cfg = dataclasses.replace(GCN_CONFIG, dims=dims, seed=3, epochs=1)
+        steps = []
+        original = experiments.adam_step
+
+        def capturing(params, grads, state):
+            steps.append(([w.copy() for w in grads.weight_grads],
+                          [b.copy() for b in grads.bias_grads], state.weight_decay))
+            return original(params, grads, state)
+
+        monkeypatch.setattr(experiments, "adam_step", capturing)
+        train(cfg, graph, data, convolve=True)
+        (grad_ws, grad_bs, adam_decay), = steps
+        assert adam_decay == 0.0
+
+        params = init_mlp(dims, seed=cfg.seed)
+        op = experiments._renormalized_operator(graph)
+        logits, cache = oracle.gcn_forward(op, params.layer_weights, params.layer_biases,
+                                           data.features, dropout_p=cfg.dropout_p,
+                                           seed=experiments._dropout_seed(cfg.seed, 1),
+                                           train_mode=True)
+        _, grad_logits = cross_entropy(logits, data.labels, data.train_idx)
+        old_ws, old_bs = oracle.gcn_backward(op, params.layer_weights, cache, grad_logits,
+                                             cfg.weight_decay)
+        assert cfg.weight_decay > 0.0
+        for a, b in zip([*grad_ws, *grad_bs], [*old_ws, *old_bs]):
+            assert np.array_equal(a, b)
+            assert np.array_equal(np.signbit(a), np.signbit(b))
 
     def test_gcn_beats_chance_on_easy_graph(self, synthetic_problem):
         graph, data = synthetic_problem

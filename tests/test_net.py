@@ -528,6 +528,7 @@ class TestAgainstMlpOracle:
         kwargs = dict(dropout_p=dropout_p, seed=7, train_mode=train_mode)
         _, logits, cache = forward(params, x, op=op, **kwargs)
         logits_old, cache_old = oracle.gcn_forward(op, weights, biases, x, **kwargs)
+        assert set(cache) == {"inputs", "h", "scale"}
         grad_logits = rng.standard_normal(logits.shape)
         grads = backward(params, cache, grad_logits, op=op)
         if weight_decay > 0.0:  # the L2 term, as train(..., convolve=True) adds it
