@@ -336,7 +336,7 @@ def _read_features(path) -> np.ndarray:
     """The float64 table of the features file ``path``. numpy's int16
     parser runs first and its result converts to float64 exactly (a ``-0``
     cell becomes 0.0): on a 2-vCPU VM it reads a 0/1 table of Cora's
-    2708x1433 in 57 ms, where the float64 parser takes 110 ms. int16, the
+    2708x1433 in 64 ms, where the float64 parser takes 110 ms. int16, the
     narrowest type that holds bag-of-words counts, keeps the load's peak
     at 1.25 float64 tables. A real-valued, out-of-range or malformed cell
     makes that parse raise ValueError and the table is parsed as float64:
