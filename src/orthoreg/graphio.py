@@ -6,7 +6,8 @@ edge are present, column indices are strictly increasing within a row, and
 self-loops are dropped at load time. The dataset directory layout is plain
 text: ``edges.txt`` (two node ids per line), ``features.csv`` (N x F
 comma-separated reals or integers, no header; see ``_read_features``),
-``labels.csv`` (one integer per row, -1 = unlabeled),
+``labels.csv`` (one integer per row, -1 = unlabeled; a real-valued cell
+is a ParseError, see ``_integer_table``),
 ``splits/{train,val,test}.txt`` (one node index in [0, N) per line), and
 an optional ``meta.txt`` of ``key = value`` lines
 (``#`` starts a comment) with ``n_nodes`` / ``n_classes`` overrides and no
@@ -14,6 +15,16 @@ other key. The node ids in ``edges.txt`` are indices in [0, N), or raw ids
 when the optional ``node_ids.txt`` (one raw id per line) lists them: a raw
 id's index is its order among that file's id lines. These three id files
 skip blank lines and lines starting with ``#`` (see ``field_lines``).
+
+The hot files have a fast reader, kept only where it reads a file exactly
+as the general reader does, so values and errors do not depend on which
+reader ran. ``features.csv`` goes to the first of three tiers that takes it
+(``_read_features``): a table of one-digit cells is read from its bytes,
+an integer table by numpy's int16 parser, and any other table by its
+float64 parser. ``edges.txt`` and the splits, when they hold dense ids,
+go to numpy's integer parser (``_integer_ids``), and the line reader
+(``id_lines``) reads whatever that parse does not keep. ``node_ids.txt``
+and a raw-id ``edges.txt`` always take the line reader.
 
 Every text file the package writes goes through ``write_lines``,
 ``write_csv`` or ``write_json``: UTF-8, LF line ends, a final LF.
@@ -27,7 +38,7 @@ import logging
 import os
 import warnings
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -186,12 +197,49 @@ def id_lines(path, n_fields: int):
         yield lineno, fields
 
 
+def _integer_ids(path, n_fields: int, n_nodes: int) -> np.ndarray | None:
+    """The (lines, n_fields) int64 ids of the id file ``path`` read by
+    numpy's integer parser, or None when the line reader must read them.
+    The parse is kept only where it reads the file exactly as the line
+    reader does: no ``#`` follows a line's first field, numpy warns of
+    nothing, and every line holds ``n_fields`` integers in [0, n_nodes).
+    A file that is not UTF-8 raises the line reader's ParseError. On the
+    5278 edge lines of a Cora-shaped file this takes about 1 ms, where the
+    line reader takes 4-6 ms."""
+    lines = text_lines(path)
+    text = "".join(lines)
+    end = 0
+    while (pos := text.find("#", end)) >= 0:
+        # a "#" after its line's first field: the line reader keeps the
+        # line's fields, where loadtxt would drop them as a comment
+        if text[text.rfind("\n", 0, pos) + 1:pos].strip():
+            return None
+        # the rest of a comment line is the comment
+        end = text.find("\n", pos) + 1 or len(text)
+    try:
+        with warnings.catch_warnings():
+            # "input contained no data" among others
+            warnings.simplefilter("error")
+            ids = _integer_table(lines, np.int64, ndmin=2, comments="#")
+    except (ValueError, Warning):
+        return None
+    if ids.shape[1] != n_fields or ids.min() < 0 or ids.max() >= n_nodes:
+        return None
+    return ids
+
+
 def _node_ids(path, n_fields: int, n_nodes: int, id_map: dict | None) -> np.ndarray:
     """The ids on the id lines of ``path`` as an (lines, n_fields) int64
     array: integers, or raw ids translated through ``id_map`` when it is
-    given, each in [0, n_nodes). All ids are translated and checked at
-    once; only when that fails are the lines read again, to raise
-    ParseError naming the first bad one."""
+    given, each in [0, n_nodes). Without ``id_map`` numpy's integer parser
+    reads the file first (see _integer_ids); the line reader reads what it
+    does not keep and every raw-id file. The line reader translates and
+    checks all ids at once; only when that fails are the lines read again,
+    to raise ParseError naming the first bad one."""
+    if id_map is None:
+        ids = _integer_ids(path, n_fields, n_nodes)
+        if ids is not None:
+            return ids
     lookup = int if id_map is None else id_map.__getitem__
 
     def dense(tokens):
@@ -332,27 +380,64 @@ def _parsed(path, parse, *args, **kwargs):
         raise ParseError(f"{path}: {exc}") from None
 
 
+def _integer_table(source, dtype, **kwargs) -> np.ndarray:
+    """``np.loadtxt(source, dtype=dtype, **kwargs)`` for an integer
+    ``dtype``, where a real-valued cell raises ValueError on every numpy:
+    numpy 1.23 to 2.x parses it through a float, truncating it, and says
+    so only in a DeprecationWarning ("loadtxt(): Parsing an integer via a
+    float")."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("error", "loadtxt", DeprecationWarning)
+        try:
+            return np.loadtxt(source, dtype=dtype, **kwargs)
+        except DeprecationWarning as exc:
+            raise ValueError(str(exc)) from None
+
+
+def _one_digit_table(path) -> np.ndarray | None:
+    """The float64 table of the features file ``path`` when every row is
+    ``d,d,...,d`` and a LF, each ``d`` one ASCII digit, with all rows of one
+    width; otherwise None. Such a file is a grid of (digit, separator)
+    byte pairs, so its bytes fix the values and no tokenizer runs: read as
+    little-endian uint16, a pair is 0x2C30-0x2C39 inside a row and
+    0x0A30-0x0A39 at its end. On a 2-vCPU VM a 0/1 table of Cora's
+    2708x1433 reads in about 10 ms, where the int16 parse takes 64-71 ms,
+    with a peak of 1.25 float64 tables (the bytes and the result)."""
+    data = np.fromfile(path, dtype=np.uint8)
+    # bytes per row: the first LF's offset + 1, or 1 when there is no LF
+    width = 1 + int(np.argmax(data == ord("\n"))) if data.size else 1
+    if width % 2 or data.size % width:
+        return None
+    pairs = data.view("<u2").reshape(-1, width // 2)
+    inner, last = pairs[:, :-1], pairs[:, -1]
+    if inner.size and (inner.min() < 0x2C30 or inner.max() > 0x2C39):
+        return None
+    if last.min() < 0x0A30 or last.max() > 0x0A39:
+        return None
+    return np.subtract(data[0::2].reshape(pairs.shape), 48, dtype=np.float64)
+
+
 def _read_features(path) -> np.ndarray:
-    """The float64 table of the features file ``path``. numpy's int16
-    parser runs first and its result converts to float64 exactly (a ``-0``
-    cell becomes 0.0): on a 2-vCPU VM it reads a 0/1 table of Cora's
-    2708x1433 in 64 ms, where the float64 parser takes 110 ms. int16, the
-    narrowest type that holds bag-of-words counts, keeps the load's peak
-    at 1.25 float64 tables. A real-valued, out-of-range or malformed cell
-    makes that parse raise ValueError and the table is parsed as float64:
-    a malformed cell then raises ParseError naming the file, and only
-    this parse can hold a NaN or infinity."""
-    read = partial(np.loadtxt, path, delimiter=",", ndmin=2)
+    """The float64 table of the features file ``path``, read by the first
+    of three tiers that takes it. A table of one-digit cells is read from
+    its bytes (_one_digit_table). Else numpy's int16 parser runs, and its
+    result converts to float64 exactly (a ``-0`` cell becomes 0.0): on a
+    2-vCPU VM it reads an integer table of Cora's 2708x1433 in 64 ms, where
+    the float64 parser takes 110 ms. int16, the narrowest type that holds
+    bag-of-words counts, keeps the load's peak at 1.25 float64 tables. A
+    real-valued, out-of-range or malformed cell makes that parse raise
+    ValueError and the table is parsed as float64: a malformed cell then
+    raises ParseError naming the file, and only this parse can hold a NaN
+    or infinity. Each tier returns what the float64 parse returns, a
+    ``-0`` cell aside."""
+    features = _one_digit_table(path)
+    if features is not None:
+        return features
     try:
-        with warnings.catch_warnings():
-            # numpy 1.23 to 2.x parses a real-valued cell into an integer
-            # dtype through a float, truncating it, and says so only in
-            # this warning ("loadtxt(): Parsing an integer via a float")
-            warnings.filterwarnings("error", "loadtxt", DeprecationWarning)
-            return read(dtype=np.int16).astype(np.float64)
-    except (ValueError, DeprecationWarning):
+        return _integer_table(path, np.int16, delimiter=",", ndmin=2).astype(np.float64)
+    except ValueError:
         pass
-    features = _parsed(path, read, dtype=np.float64)
+    features = _parsed(path, np.loadtxt, path, delimiter=",", dtype=np.float64, ndmin=2)
     if not np.all(np.isfinite(features)):
         raise ShapeMismatch(f"{path}: contains non-finite values")
     return features
@@ -405,7 +490,7 @@ def load_dataset(directory) -> tuple[SparseGraph, Dataset]:
                 raise ParseError(f"{p('meta.txt')}:{lineno}: unknown key '{key}'")
             meta[key] = value
     features = _read_features(p("features.csv"))
-    labels = _parsed(p("labels.csv"), np.loadtxt, p("labels.csv"), dtype=np.int64, ndmin=1)
+    labels = _parsed(p("labels.csv"), _integer_table, p("labels.csv"), np.int64, ndmin=1)
 
     id_map = None
     if os.path.isfile(p("node_ids.txt")):

@@ -204,6 +204,17 @@ class TestDatasetRoundTrip:
         with pytest.raises(ShapeMismatch):
             load_dataset(tmp_path / "ds")
 
+    def test_real_valued_label_rejected_where_numpy_truncates_it(self, tmp_path,
+                                                                 synthetic_problem,
+                                                                 truncating_loadtxt):
+        graph, data = synthetic_problem
+        save_dataset(tmp_path / "ds", graph, data)
+        labels = tmp_path / "ds" / "labels.csv"
+        labels.write_text("1.7\n" + labels.read_text().split("\n", 1)[1])
+        with pytest.raises(ParseError) as exc:
+            load_dataset(tmp_path / "ds")
+        assert str(labels) in str(exc.value)
+
 
 def raw_id_dataset(path, node_ids: str):
     """A 4-node dataset directory whose edges.txt holds the raw-id path
@@ -217,6 +228,21 @@ def raw_id_dataset(path, node_ids: str):
     return path
 
 
+@st.composite
+def id_files(draw):
+    """(text, n_fields): an id file of mostly well-formed lines, with noise
+    in its tokens, separators and line ends."""
+    n_fields = draw(st.sampled_from([1, 2]))
+    token = st.sampled_from(["0", "3", "7", "+2", "007"] * 8 + [
+        "8", "-1", "3.0", "1_0", "x", "#", "#c", "99999999999999999999"])
+    fields = st.lists(token, min_size=n_fields, max_size=n_fields) | st.lists(token, max_size=3)
+    lines = draw(st.lists(st.tuples(
+        st.sampled_from(["", " ", "\t"]), fields,
+        st.sampled_from([" ", "\t", "  ", "\x0c", "\u2028"]),
+        st.sampled_from(["\n"] * 4 + ["\r\n", "\r", ""])), max_size=6))
+    return "".join(lead + sep.join(t) + end for lead, t, sep, end in lines), n_fields
+
+
 class TestNodeIds:
     def test_raw_id_takes_its_order_among_id_lines(self, tmp_path):
         graph, _ = load_dataset(raw_id_dataset(tmp_path / "ds", "# raw ids\nd\nc\n\nb\na\n"))
@@ -225,6 +251,69 @@ class TestNodeIds:
     def test_duplicate_id_rejected_naming_file_line_and_id(self, tmp_path):
         with pytest.raises(ParseError, match=r"node_ids\.txt:4: duplicate node id 'b'"):
             load_dataset(raw_id_dataset(tmp_path / "ds", "a\nb\nc\nb\n"))
+
+    @pytest.mark.parametrize("data, n_fields", [
+        (b"# n_nodes=8\n0 1\n# between\n2 3\n", 2),
+        (b"\n0 1\n\n  \n2 3\n\n", 2),
+        (b"0\t1\n\t2 \t3\t\n", 2),
+        (b"0 1\r\n2 3\r\n", 2),
+        (b"  # a # b\n0 1\n", 2),
+        (b"# val\n4\n\n0\r\n 3\t\n", 1),
+    ], ids=["comments", "blank-lines", "tabs", "crlf", "comment-hashes", "split"])
+    def test_numpy_parse_reads_what_the_line_reader_reads(self, tmp_path, data, n_fields):
+        path = tmp_path / "ids.txt"
+        path.write_bytes(data)
+        ids = graphio._integer_ids(path, n_fields, 8)
+        assert ids is not None
+        expected = line_reader_ids(path, n_fields, 8)
+        assert ids.dtype == expected.dtype and ids.shape == expected.shape
+        assert np.array_equal(ids, expected)
+        assert np.array_equal(graphio._node_ids(path, n_fields, 8, None), expected)
+
+    @pytest.mark.parametrize("data, n_fields, message", [
+        (b"0 1\n3 4 # x\n", 2, ":2: expected 2 node id(s), got 4 fields"),
+        (b"0 1\n3.0 4\n", 2, ":2: node ids must be integers: '3.0 4'"),
+        (b"0 1\n3 8\n", 2, ":2: node id outside [0, 8): '3 8'"),
+        (b"0 1\n-1 4\n", 2, ":2: node id outside [0, 8): '-1 4'"),
+        (b"0 1\n2\n", 2, ":2: expected 2 node id(s), got 1 fields"),
+        (b"0\n1 2\n", 1, ":2: expected 1 node id(s), got 2 fields"),
+        (b"# \xff\n0 1\n", 2, ": not UTF-8 text (invalid start byte at byte 2)"),
+    ], ids=["inline-comment", "real-id", "out-of-range", "negative", "one-field", "two-fields",
+            "not-utf8-comment"])
+    def test_line_reader_message_kept(self, tmp_path, data, n_fields, message):
+        path = tmp_path / "ids.txt"
+        path.write_bytes(data)
+        with pytest.raises(ParseError) as exc:
+            graphio._node_ids(path, n_fields, 8, None)
+        assert str(exc.value) == f"{path}{message}"
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(case=id_files())
+    def test_any_id_file_reads_as_the_line_reader_reads_it(self, case):
+        text, n_fields = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "ids.txt")
+            with open(path, "wb") as fh:
+                fh.write(text.encode("utf-8"))
+            assert ids_or_message(graphio._node_ids, path, n_fields) == ids_or_message(
+                line_reader_ids, path, n_fields)
+
+
+def line_reader_ids(path, n_fields, n_nodes, id_map=None):
+    """_node_ids as the line reader alone reads an id file."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(graphio, "_integer_ids", lambda *args: None)
+        return graphio._node_ids(path, n_fields, n_nodes, id_map)
+
+
+def ids_or_message(read, path, n_fields):
+    """The (dtype, shape, ids) ``read`` returns for ``path`` on 8 nodes, or
+    the message of the package error it raises."""
+    try:
+        ids = read(path, n_fields, 8, None)
+    except ParseError as exc:
+        return str(exc)
+    return ids.dtype, ids.shape, ids.tolist()
 
 
 def float_parse(path):
@@ -244,18 +333,63 @@ def parse_dtypes(monkeypatch):
     return dtypes
 
 
+@st.composite
+def feature_files(draw):
+    """A features file of mostly one-digit cells in rows of one width, with
+    noise in its cells, separators and row ends."""
+    width = draw(st.integers(1, 4))
+    cell = st.sampled_from([str(d) for d in range(10)] * 4 + [
+        "12", "-0", "-3", ".5", " 1", "", "#", "x"])
+    cells = st.lists(cell, min_size=width, max_size=width) | st.lists(cell, max_size=5)
+    rows = draw(st.lists(st.tuples(cells, st.sampled_from([","] * 8 + [";", ", "]),
+                                   st.sampled_from(["\n"] * 8 + ["\r\n", ",\n", ""])),
+                         max_size=5))
+    return "".join(sep.join(row) + end for row, sep, end in rows)
+
+
+def table_or_message(read, path):
+    """The (dtype, shape, bytes) of the table ``read`` returns for ``path``,
+    or the type and message of the package error it raises."""
+    try:
+        table = read(path)
+    except (ParseError, ShapeMismatch) as exc:
+        return type(exc), str(exc)
+    return table.dtype, table.shape, table.tobytes()
+
+
+@pytest.fixture
+def truncating_loadtxt(monkeypatch):
+    """np.loadtxt as numpy 1.23 to 2.x runs it: a real-valued cell parsed
+    into an integer dtype is truncated, and only a DeprecationWarning says
+    so."""
+    loadtxt = np.loadtxt
+
+    def truncating(*args, **kwargs):
+        if np.dtype(kwargs["dtype"]).kind == "i":
+            # attributed here, not to orthoreg, as numpy attributes it to itself
+            warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
+                          DeprecationWarning)
+            return loadtxt(*args, **{**kwargs, "dtype": np.float64}).astype(kwargs["dtype"])
+        return loadtxt(*args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", truncating)
+
+
 class TestReadFeatures:
-    @pytest.mark.parametrize("text", [
-        "0,1,0,0\n1,0,0,1\n0,0,0,0\n",
-        "3,12,0\n250,7,1\n0,32767,-32768\n",
-        "1,0,0,1,1\n",
-        "0\n1\n4\n",
-    ], ids=["binary", "counts", "single-row", "single-column"])
+    @pytest.mark.parametrize("text, parses", [
+        ("0,1,0,0\n1,0,0,1\n0,0,0,0\n", []),
+        ("3,12,0\n250,7,1\n0,32767,-32768\n", [np.int16]),
+        ("1,0,0,1,1\n", []),
+        ("0\n1\n4\n", []),
+        ("0,1,2,3,4\n5,6,7,8,9\n", []),
+        ("7\n", []),
+    ], ids=["binary", "counts", "single-row", "single-column", "digits", "one-cell"])
     def test_integer_table_is_bit_identical_to_the_float_parse(self, tmp_path, parse_dtypes,
-                                                               text):
+                                                               text, parses):
+        # a table of one-digit cells is read from its bytes, with no parse
         path = write(tmp_path / "features.csv", text)
         features = graphio._read_features(path)
-        assert parse_dtypes == [np.dtype(np.int16)]
+        assert parse_dtypes == [np.dtype(t) for t in parses]
         expected = float_parse(path)
         assert features.dtype == expected.dtype and features.shape == expected.shape
         assert features.tobytes() == expected.tobytes()
@@ -272,20 +406,8 @@ class TestReadFeatures:
         expected = float_parse(path)
         assert features.dtype == expected.dtype and features.tobytes() == expected.tobytes()
 
-    def test_a_float_parsed_integer_cell_takes_the_float_parse(self, tmp_path, monkeypatch):
-        # numpy 1.23 to 2.x parses "0.5" into an integer dtype as 0 and
-        # only warns; the reader must not keep that table
-        loadtxt = np.loadtxt
-
-        def truncating(*args, **kwargs):
-            if np.dtype(kwargs["dtype"]).kind == "i":
-                # attributed here, not to orthoreg, as numpy attributes it to itself
-                warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
-                              DeprecationWarning)
-                return loadtxt(*args, **{**kwargs, "dtype": np.float64}).astype(kwargs["dtype"])
-            return loadtxt(*args, **kwargs)
-
-        monkeypatch.setattr(np, "loadtxt", truncating)
+    def test_a_float_parsed_integer_cell_takes_the_float_parse(self, tmp_path,
+                                                               truncating_loadtxt):
         path = write(tmp_path / "features.csv", "0.5,1\n0,1\n")
         assert graphio._read_features(path).tolist() == [[0.5, 1.0], [0.0, 1.0]]
 
@@ -296,6 +418,50 @@ class TestReadFeatures:
         with pytest.raises(ParseError) as exc:
             graphio._read_features(path)
         assert str(exc.value) == f"{path}: {float_error.value}"
+
+    @pytest.mark.parametrize("data", [
+        b"0,1\r\n1,0\r\n",
+        b"0,1\n1,0",
+        b"0,1,\n1,0,\n",
+        b"0,1\n\n1,0\n",
+        b"# header\n0,1\n1,0\n",
+        b" 0,1\n1,0\n",
+        b"\xef\xbb\xbf0,1\n1,0\n",
+        b"0,1\n1\n0,1\n",
+        b"0,1\n1,0\n1\n",
+    ], ids=["crlf", "no-final-lf", "trailing-comma", "blank-line", "comment-line",
+            "leading-space", "bom", "ragged", "ragged-last"])
+    def test_near_one_digit_tables_take_the_parse_and_match_it(self, tmp_path, parse_dtypes,
+                                                               data):
+        path = tmp_path / "features.csv"
+        path.write_bytes(data)
+        try:
+            features = graphio._read_features(path)
+        except ParseError as exc:
+            features = exc
+        assert parse_dtypes[0] == np.dtype(np.int16)
+        try:
+            expected = float_parse(path)
+        except ValueError as exc:
+            assert isinstance(features, ParseError) and str(features) == f"{path}: {exc}"
+        else:
+            assert features.dtype == expected.dtype and features.shape == expected.shape
+            assert features.tobytes() == expected.tobytes()
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(text=feature_files())
+    def test_any_table_reads_as_the_parse_reads_it(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "features.csv")
+            with open(path, "wb") as fh:
+                fh.write(text.encode("utf-8"))
+            with warnings.catch_warnings():
+                # numpy's "input contained no data"
+                warnings.simplefilter("ignore", UserWarning)
+                read = table_or_message(graphio._read_features, path)
+                with pytest.MonkeyPatch.context() as patch:
+                    patch.setattr(graphio, "_one_digit_table", lambda path: None)
+                    assert read == table_or_message(graphio._read_features, path)
 
     def test_negative_zero_cell_loads_as_positive_zero(self, tmp_path):
         path = write(tmp_path / "features.csv", "-0,1\n")
