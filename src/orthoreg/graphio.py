@@ -218,7 +218,8 @@ def _integer_ids(path, n_fields: int, n_nodes: int) -> np.ndarray | None:
         end = text.find("\n", pos) + 1 or len(text)
     try:
         with warnings.catch_warnings():
-            # "input contained no data" among others
+            # any warning rejects the parse, numpy's "input contained no
+            # data" on a file without id lines among them
             warnings.simplefilter("error")
             ids = _integer_table(lines, np.int64, ndmin=2, comments="#")
     except (ValueError, Warning):
