@@ -9,10 +9,10 @@ experiments.SUITES: table1, table3, coldstart, robustness), and ``bench``
 
 Configuration comes from an optional flat ``key = value`` file plus flags;
 flags override the file, and a setting given by neither takes its
-TrainConfig / RegularizerSpec default, or for a regularizer strength its
-kind's default (reg.REGULARIZERS). Every run echoes the effective
-configuration (``simulate`` and ``bench``: every flag) to
-``config.resolved`` in its output directory. Exit codes:
+TrainConfig default, or for a regularizer setting its kind's default
+(reg.REGULARIZERS, whose row also says which settings the kind accepts).
+Every run echoes the effective configuration (``simulate`` and ``bench``:
+every flag) to ``config.resolved`` in its output directory. Exit codes:
 0 success, otherwise the ``exit_code`` of the package error raised (2
 configuration error, 3 data error, 4 numerical divergence). ``stderr``
 carries human-readable messages; ``stdout`` carries at most one final JSON
@@ -74,9 +74,9 @@ def _merge_config(args, file_values: dict) -> dict:
 
 
 def _train_config_from(merged: dict) -> TrainConfig:
-    """The TrainConfig of the merged settings: a regularizer strength that
-    is not set takes its kind's default (see
-    experiments.resolve_regularizer), any other setting its field's."""
+    """The TrainConfig of the merged settings: a regularizer setting that
+    is not set takes its kind's default, one it does not read is an error
+    (see experiments.resolve_regularizer), any other setting its field's."""
     spec = experiments.resolve_regularizer(
         {f.name: merged[key] for key, f in SPEC_KEYS.items() if key in merged},
         merged.get("dataset") or "",
@@ -91,11 +91,11 @@ def _write_resolved(out_dir, lines: dict) -> None:
 
 
 def _resolved(config: TrainConfig, merged: dict) -> dict:
-    """A training run's config.resolved lines: every field of ``config`` (a
-    RegularizerSpec field as reg.<field>, the kind as reg) and the run's
-    dataset and out."""
-    lines = {key if key == "reg" else f"reg.{key}": getattr(config.regularizer, f.name)
-             for key, f in SPEC_KEYS.items()}
+    """A training run's config.resolved lines: its regularizer's settings()
+    (the kind as reg, each setting as reg.<name>), every other field of
+    ``config`` and the run's dataset and out."""
+    lines = {"reg" if key == "kind" else f"reg.{key}": value
+             for key, value in config.regularizer.settings().items()}
     lines.update({key: getattr(config, key) for key in TRAIN_KEYS})
     lines.update({key: merged[key] for key in ("dataset", "out") if key in merged})
     return lines
@@ -215,18 +215,25 @@ def cmd_suite(args) -> int:
         )
     out_dir = args.out or f"runs/suite-{args.name}"
     merged = {**_merge_config(args, {}), "out": out_dir}
+    check_ranges(merged)  # every number, before the data loads: rows resolve later
+    configs = {}
 
-    def config_for(kind) -> TrainConfig:
-        return _train_config_from({**merged, "reg": kind})
+    def config_for(kind) -> TrainConfig:  # given only the settings kind's row reads
+        reads = REGULARIZERS[kind].settings
+        configs[kind] = _train_config_from(
+            {**{k: v for k, v in merged.items() if k not in SPEC_KEYS or k in reads}, "reg": kind})
+        return configs[kind]
 
-    ortho = config_for("orthoreg")
     ratios = [check_range("mask ratio", r) for r in _flag_values(args.ratios, float, "--ratios")]
     graph, data = _load(args.dataset)
     rows = experiments.SUITES[args.name](config_for, graph, data, ratios=ratios)
     _write_suite_outputs(out_dir, args.name,
                          [[label, r.mean_acc, r.std_acc, len(r.per_trial)] for label, r in rows],
                          ["row", "mean", "std", "n_trials"])
-    _write_resolved(out_dir, _resolved(ortho, merged))
+    lines = _resolved(configs.pop("orthoreg"), merged)  # then the other rows' <kind>.<name>
+    lines.update({f"{kind}.{key}": value for kind, config in configs.items()
+                  for key, value in config.regularizer.settings().items() if key != "kind"})
+    _write_resolved(out_dir, lines)
     print(json.dumps({"suite": args.name, "out": out_dir}))
     return 0
 

@@ -50,20 +50,22 @@ DEFAULT_HYPERS = {
 
 
 def resolve_regularizer(given: dict, dataset) -> RegularizerSpec:
-    """RegularizerSpec(**given), with each strength its kind reads that
-    ``given`` lacks taken from DEFAULT_HYPERS (orthoreg on a dataset
-    directory named after one of its datasets) or the kind's
-    reg.REGULARIZERS row; a strength without a default there must be given.
-    Shared by `orthoreg train` and `orthoreg suite`."""
+    """RegularizerSpec(**given), with each setting its kind's reg.REGULARIZERS
+    row reads that ``given`` lacks taken from DEFAULT_HYPERS (orthoreg on a
+    dataset directory named after one of its datasets) or that row; a setting
+    without a default there must be given, and one the row does not read is
+    a ConfigError. Shared by `orthoreg train` and `orthoreg suite`."""
     spec = RegularizerSpec(**given)
-    defaults = dict(REGULARIZERS[spec.kind].strengths)
+    defaults = dict(REGULARIZERS[spec.kind].settings)
+    if unread := [s for s in given if s != "kind" and s not in defaults]:
+        raise ConfigError(f"regularizer {spec.kind!r} does not read {', '.join(unread)}")
     name = os.path.basename(os.path.normpath(dataset)).lower()
     if spec.kind == "orthoreg" and name in DEFAULT_HYPERS:
         defaults["alpha"], defaults["beta"] = DEFAULT_HYPERS[name]
     unset = [s for s in defaults if s not in given]
-    for strength in unset:
-        if defaults[strength] is None:
-            raise ConfigError(f"regularizer {spec.kind!r} needs {strength}: it has no default")
+    for setting in unset:
+        if defaults[setting] is None:
+            raise ConfigError(f"regularizer {spec.kind!r} needs {setting}: it has no default")
     return replace(spec, **{s: defaults[s] for s in unset})
 
 
@@ -315,7 +317,7 @@ def run_trials(
         mean_acc=float(np.mean(accs)),
         std_acc=float(np.std(accs)),
         per_trial=[float(a) for a in accs],
-        config=asdict(config),
+        config={**asdict(config), "regularizer": config.regularizer.settings()},
         wall_clock_s=wall,
     )
 

@@ -15,7 +15,7 @@ Three families are implemented:
 
 REGULARIZERS holds one row per kind: the normalized operator it reads
 (``None`` for none and corr_identity), which is the one training builds,
-each strength it reads with its default, and its ``value_grad``.
+each setting it reads with its default, and its ``value_grad``.
 
 Correlations standardize each column (see tensor.centered_columns), but
 no standardized N x D copy is formed: from the centered columns Hc, Sc
@@ -59,13 +59,13 @@ POOL_SECOND_HOP = "second_hop_only"
 @dataclass(frozen=True)
 class Regularizer:
     """One regularizer kind: the normalized operator it reads (graphio's
-    kind names, or None), each strength it reads with its default (None:
+    kind names, or None), each setting it reads with its default (None:
     a run must give it), and ``value_grad(h, op, spec)``, which looks its
     function up in this module at call time, so a wrapper set on, say,
     ``reg.orthoreg_loss`` (perfbench/tracer.py) sees every call."""
 
     operator: str | None
-    strengths: dict
+    settings: dict
     value_grad: Callable
 
 
@@ -76,19 +76,16 @@ REGULARIZERS = {
     "preg": Regularizer(SYM_KIND, {"lam": None}, lambda h, op, spec: p_reg(h, op, spec.lam)),
     "corr_identity": Regularizer(None, {"lam": None},
                                  lambda h, op, spec: corr_identity_reg(h, spec.lam)),
-    "orthoreg": Regularizer(RW_KIND, {"alpha": 1e-3, "beta": 1e-6},
+    "orthoreg": Regularizer(RW_KIND, {"alpha": 1e-3, "beta": 1e-6, "hops": 2,
+                                      "pooling": POOL_AVERAGE},
                             lambda h, op, spec: orthoreg_loss(h, op, spec)),
 }
 
 
 @dataclass(frozen=True)
 class RegularizerSpec:
-    """Which regularizer to train with, and its strengths.
-
-    kinds (REGULARIZERS): ``none``, ``laplacian`` (uses lam), ``preg``
-    (lam), ``corr_identity`` (lam), ``orthoreg`` (alpha, beta, hops,
-    pooling).
-    """
+    """Which regularizer to train with, and its settings: the kind's
+    REGULARIZERS row names the ones it reads, and no other field is read."""
 
     kind: str = "none"
     lam: float = 0.0
@@ -102,6 +99,10 @@ class RegularizerSpec:
             raise ConfigError(f"unknown regularizer kind: {self.kind!r}")
         check_ranges(vars(self))
         _check_pooling(self.hops, self.pooling)
+
+    def settings(self) -> dict:
+        """The kind and the values of the settings its row reads: a run's record."""
+        return {"kind": self.kind} | {s: getattr(self, s) for s in REGULARIZERS[self.kind].settings}
 
 
 def _check_pooling(hops: int, mode: str) -> None:

@@ -536,28 +536,94 @@ class TestResolution:
 
     def test_every_field_is_a_config_key_and_round_trips(self, dataset_dir, tmp_path,
                                                           capsys):
-        values = {
-            "kind": "orthoreg", "lam": 0.25, "alpha": 0.003, "beta": 2e-06, "hops": 3,
-            "pooling": "second_hop_only",
+        train_values = {
             "lr": 0.02, "dropout_p": 0.25, "weight_decay": 0.0001, "epochs": 4,
             "hidden": 6, "embedding": 5, "seed": 7, "eigens_every": 2,
             "early_stop_patience": 3, "trials": 1,
         }
+        # one run per kind: a kind accepts only the settings its row reads
+        spec_runs = [{"kind": "orthoreg", "alpha": 0.003, "beta": 2e-06, "hops": 3,
+                      "pooling": "second_hop_only"},
+                     {"kind": "laplacian", "lam": 0.25}]
         spec_fields = [f.name for f in fields(RegularizerSpec)]
         train_fields = [f.name for f in fields(TrainConfig)
                         if f.name not in ("regularizer", "dims")]
-        assert set(values) == set(spec_fields) | set(train_fields)
-        key = {name: "reg" if name == "kind" else name for name in values}
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("".join(f"{key[name]} = {v}\n" for name, v in values.items()))
+        assert set(train_values) == set(train_fields)
+        assert set().union(*spec_runs) == set(spec_fields)
+        for run, spec_values in enumerate(spec_runs):
+            values = {**spec_values, **train_values}
+            key = {name: "reg" if name == "kind" else name for name in values}
+            cfg = tmp_path / f"run{run}.cfg"
+            cfg.write_text("".join(f"{key[name]} = {v}\n" for name, v in values.items()))
+            out = str(tmp_path / f"o{run}")
+            code, _, err = run_cli(capsys, "train", "--dataset", dataset_dir,
+                                   "--config", str(cfg), "--out", out)
+            assert code == 0, err
+            lines = resolved(out)
+            line = {name: "reg" if name == "kind" else f"reg.{name}" for name in spec_values}
+            assert {key for key in lines if key.startswith("reg")} == set(line.values())
+            for name, v in values.items():
+                assert lines[line.get(name, name)] == str(v), name
+
+    @pytest.mark.parametrize("argv, config, kind, unread", [
+        (["--reg", "laplacian", "--alpha", "5", "--beta", "3", "--T", "3",
+          "--pooling", "second_hop_only"], "", "laplacian", "alpha, beta, hops, pooling"),
+        (["--reg", "none", "--lam", "7"], "", "none", "lam"),
+        ([], "reg = orthoreg\nlam = 0.25\n", "orthoreg", "lam"),
+        (["--reg", "orthoreg"], "lam = 0.25\n", "orthoreg", "lam"),
+    ])
+    def test_setting_its_kind_does_not_read_exits_2_before_loading(
+            self, tmp_path, capsys, monkeypatch, argv, config, kind, unread):
+        monkeypatch.setattr(cli, "load_dataset", lambda path: pytest.fail("data loaded"))
+        if config:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(config)
+            argv = [*argv, "--config", str(cfg)]
+        out = tmp_path / "o"
+        code, stdout, err = run_cli(capsys, "train", "--dataset", "x", "--out", str(out), *argv)
+        assert code == 2
+        assert err == f"error: regularizer {kind!r} does not read {unread}\n"
+        assert stdout == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind, argv, recorded", [
+        ("none", [], {}),
+        ("laplacian", [], {"lam": 0.1}),
+        ("corr_identity", ["--lam", "0.05"], {"lam": 0.05}),
+        ("orthoreg", ["--T", "1"], {"alpha": 1e-3, "beta": 1e-6, "hops": 1,
+                                    "pooling": "average_1toT"}),
+    ])
+    def test_run_records_only_the_settings_its_kind_reads(self, dataset_dir, tmp_path, capsys,
+                                                          kind, argv, recorded):
         out = str(tmp_path / "o")
-        code, _, err = run_cli(capsys, "train", "--dataset", dataset_dir,
-                               "--config", str(cfg), "--out", out)
+        code, _, err = run_cli(capsys, "train", "--dataset", dataset_dir, "--out", out,
+                               "--reg", kind, *argv, "--epochs", "2", "--trials", "1")
         assert code == 0, err
         lines = resolved(out)
-        for name, v in values.items():
-            line = name if name in train_fields else ("reg" if name == "kind" else f"reg.{name}")
-            assert lines[line] == str(v), name
+        assert {line: lines[line] for line in lines if line.startswith("reg")} == {
+            "reg": kind, **{f"reg.{name}": str(v) for name, v in recorded.items()}}
+        report = json.loads(Path(out, "report.json").read_text())
+        assert report["config"]["regularizer"] == {"kind": kind, **recorded}
+
+    @pytest.mark.parametrize("argv, lam", [([], 0.1), (["--lam", "0.3"], 0.3)])
+    def test_suite_records_the_lam_its_laplacian_row_read(self, dataset_dir, tmp_path, capsys,
+                                                          monkeypatch, argv, lam):
+        seen = []
+        original = experiments.train
+
+        def spying(config, *args, **kwargs):
+            seen.append(config.regularizer)
+            return original(config, *args, **kwargs)
+
+        monkeypatch.setattr(experiments, "train", spying)
+        out = str(tmp_path / "s")
+        code, _, err = run_cli(capsys, "suite", "table1", "--dataset", dataset_dir, "--out", out,
+                               *argv, "--epochs", "1", "--trials", "1")
+        assert code == 0, err
+        assert [s.lam for s in seen if s.kind == "laplacian"] == [lam]
+        lines = resolved(out)
+        assert lines["laplacian.lam"] == str(lam)
+        assert "reg.lam" not in lines
 
 
 class TestExitCodes:
@@ -584,6 +650,7 @@ class TestExitCodes:
         (["train", "--weight-decay", "inf"], 2, "weight_decay"),
         (["train", "--config", LR_INF_CONFIG], 2, "lr"),
         (["suite", "table1", "--ratios", "1.5"], 2, "ratio"),
+        (["suite", "table1", "--lam", "-1"], 2, "lam"),
     ])
     def test_bad_user_value_exits_2_naming_it(self, dataset_dir, tmp_path, capsys,
                                               argv, code, named):

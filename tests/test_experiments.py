@@ -547,14 +547,19 @@ class TestResolveRegularizer:
 
     @pytest.mark.parametrize("kind", list(REGULARIZERS))
     def test_every_kind_dispatches_to_its_function_and_resolves_its_defaults(self, kind, rng):
-        strengths = REGULARIZERS[kind].strengths
-        needed = [s for s, default in strengths.items() if default is None]
+        defaults = REGULARIZERS[kind].settings
+        needed = [s for s, default in defaults.items() if default is None]
         if needed:
             with pytest.raises(ConfigError, match=f"needs {needed[0]}"):
                 resolve_regularizer({"kind": kind}, "elsewhere")
         given = {s: 0.25 for s in needed}
         spec = resolve_regularizer({"kind": kind, **given}, "elsewhere")
-        assert {s: getattr(spec, s) for s in strengths} == {**strengths, **given}
+        assert spec.settings() == {"kind": kind, **defaults, **given}
+        unread = next(s for s in ("lam", "alpha") if s not in defaults)
+        with pytest.raises(ConfigError, match=f"^regularizer '{kind}' does not read {unread}$"):
+            resolve_regularizer({"kind": kind, **given, unread: 0.5}, "elsewhere")
+        if kind == "orthoreg":
+            assert (spec.hops, spec.pooling) == (2, reg.POOL_AVERAGE)
 
         graph, _ = sbm_graph(12, seed=2)
         ops = {op: normalize(graph, op) for op in ("laplacian", "sym", "rw")}
